@@ -2,9 +2,10 @@
 //!
 //! Implements the subset of the proptest 1.x API used by this workspace's
 //! property tests: the [`proptest!`] macro (with `#![proptest_config(..)]`
-//! and `pattern in strategy` arguments), range and tuple [`Strategy`]s with
-//! `prop_map`, [`prop_assert!`]/[`prop_assert_eq!`], `ProptestConfig`,
-//! `TestCaseError`, and `proptest::bool::ANY`.
+//! and `pattern in strategy` arguments), range and tuple
+//! [`Strategy`](strategy::Strategy)s with `prop_map`,
+//! [`prop_assert!`]/[`prop_assert_eq!`], `ProptestConfig`, `TestCaseError`,
+//! and `proptest::bool::ANY`.
 //!
 //! Cases are generated from a fixed seed, so a failing case reproduces
 //! exactly on re-run. There is no shrinking: the failure report prints the

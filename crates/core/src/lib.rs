@@ -30,7 +30,7 @@
 //!
 //! Deterministic, model-conforming runs of schedulers with an exact
 //! analytic oracle can skip the simulation entirely — see
-//! [`FastPath`](fastpath::FastPath):
+//! [`FastPath`]:
 //!
 //! ```
 //! use rumr::{FastPath, RunSpec, Scenario, SchedulerKind};

@@ -5,7 +5,7 @@
 //! optional per-job recovery), the arbitration [`MultiPolicy`], a seed and
 //! an engine configuration; [`Scenario::execute_jobs`] builds one inner
 //! scheduler per job, arbitrates them through a
-//! [`MultiLoadScheduler`](dls_sched::MultiLoadScheduler), and returns the
+//! [`MultiLoadScheduler`], and returns the
 //! engine result together with per-job [`JobMetrics`], a
 //! [`FairnessSummary`], and the job-level audit findings from
 //! [`MultiJobChecker`] (per-job work conservation, release-time

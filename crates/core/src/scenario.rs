@@ -294,7 +294,7 @@ impl Scenario {
     }
 
     /// A reusable runner over this scenario: one [`Engine`] whose buffers
-    /// (event heap, ledger, worker queues, view snapshot) persist across
+    /// (event heap, ledger, worker queues, transfer pool) persist across
     /// runs, so repetition loops stop paying per-run allocation. Used by
     /// the sweep harness; results are bit-identical to
     /// [`Scenario::execute`].
@@ -687,8 +687,8 @@ impl ScenarioRunner<'_> {
 
     /// Pre-plan a scheduler for this runner's scenario (see
     /// [`SchedulerKind::prototype`]). Pair with
-    /// [`RunSpec::with_prototype`] (or [`ScenarioRunner::run_prototype`])
-    /// in repetition loops to pay the planner cost once instead of per run.
+    /// [`RunSpec::with_prototype`] in repetition loops to pay the planner
+    /// cost once instead of per run.
     pub fn prototype(&self, kind: &SchedulerKind) -> Result<SchedulerPrototype, RunError> {
         Ok(kind.prototype(&self.scenario.platform, self.scenario.w_total)?)
     }

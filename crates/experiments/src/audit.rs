@@ -1,7 +1,7 @@
 //! Conformance audit: differential + analytic checking of the pinned suite.
 //!
 //! [`run_audit`] drives every pinned benchmark case
-//! ([`pinned_cases`](crate::pinned_cases), 16 of them) through the full
+//! ([`pinned_cases`], 16 of them) through the full
 //! configuration cross-product
 //!
 //! > {heap, calendar} event queue × {Off, MetricsOnly, Full} trace mode ×

@@ -2,13 +2,13 @@
 //!
 //! [`run_snapshot`] executes a pinned scenario suite — homogeneous and
 //! heterogeneous platforms × UMR / RUMR / Factoring / MI × fault-free and
-//! Poisson-faulty — through the buffer-reusing [`ScenarioRunner`]
-//! (`rumr::ScenarioRunner`) and measures engine throughput (ns/event,
-//! runs/sec) per case, in both repetition strategies (the sequential
-//! per-seed loop and the column-batched [`ScenarioRunner::execute_batch`]
-//! pass), plus the analytic fast path against the engine on the pinned
-//! error-free cases, plus the wall time of a reduced sweep under
-//! [`TraceMode::Off`] vs [`TraceMode::Full`]. The result serializes to a
+//! Poisson-faulty — through the buffer-reusing [`rumr::ScenarioRunner`]
+//! and measures engine throughput (ns/event, runs/sec) per case, in both
+//! repetition strategies (the sequential per-seed loop and the
+//! column-batched [`rumr::ScenarioRunner::execute_batch`] pass), plus the
+//! analytic fast path against the engine on the pinned error-free cases,
+//! plus the wall time of a reduced sweep under [`TraceMode::Off`] vs
+//! [`TraceMode::Full`]. The result serializes to a
 //! small JSON document with machine and commit metadata so successive
 //! commits can be compared (`docs/BENCHMARKS.md`).
 //!
@@ -106,11 +106,11 @@ impl SnapshotConfig {
 /// How a case's repetitions were driven through the engine (schema v4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CaseMode {
-    /// One [`ScenarioRunner::execute_at`] call per seed — the historical
-    /// repetition loop (`ScenarioRunner` is `rumr::ScenarioRunner`).
+    /// One [`rumr::ScenarioRunner::execute_at`] call per seed — the
+    /// historical repetition loop.
     #[default]
     Sequential,
-    /// One [`ScenarioRunner::execute_batch`] pass per timed batch,
+    /// One [`rumr::ScenarioRunner::execute_batch`] pass per timed batch,
     /// appending rows to reused [`RepColumns`] buffers.
     Batched,
 }

@@ -6,18 +6,23 @@
 //! exactly the granularity at which the paper reports (each data point is
 //! an average over 40 repetitions).
 //!
-//! Work is fanned out over std scoped threads; each cell's seeds are derived
-//! deterministically from (root seed, cell index, repetition) so results are
-//! independent of thread count and scheduling order.
+//! Work is fanned out over std scoped threads one *series* at a time — one
+//! competitor's repetitions in one cell. Plans depend only on the platform,
+//! the workload and the scheduler kind, so each platform point plans every
+//! distinct kind once, on first use, and its error cells run clones of that
+//! plan. Each run's seed is derived deterministically from (root seed, cell
+//! index, repetition, competitor), and each series sums its repetitions in
+//! order, so results are independent of thread count and scheduling order.
 
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dls_numerics::rng::SeedDeriver;
 use dls_sim::ErrorModel;
 use rumr::{
-    QueueBackend, RumrConfig, RunSpec, Scenario, SchedulerKind, SimConfig, SpeedModel,
-    TraceMetrics, TraceMode,
+    QueueBackend, RumrConfig, RunSpec, Scenario, ScenarioRunner, SchedulerKind, SchedulerPrototype,
+    SimConfig, SpeedModel, TraceMetrics, TraceMode,
 };
 
 use crate::grid::{GridPoint, Table1Grid};
@@ -267,40 +272,129 @@ impl SweepResult {
 ///
 /// # Panics
 ///
-/// Panics if a simulation fails — every failure mode of the engine
+/// Panics if a planner or a simulation fails — every failure mode
 /// indicates a scheduler bug, and the panic message carries the offending
 /// cell's parameters.
 pub fn run_sweep(config: &SweepConfig, competitors: &[Competitor]) -> SweepResult {
     assert!(config.reps > 0, "need at least one repetition");
     assert!(!competitors.is_empty(), "need at least one competitor");
     let points = config.grid.points();
-    let mut work: Vec<(usize, GridPoint, f64)> =
-        Vec::with_capacity(points.len() * config.errors.len());
-    for point in points {
-        for &error in &config.errors {
-            let idx = work.len();
-            work.push((idx, point, error));
-        }
-    }
+    let errors = &config.errors;
+    let comps = competitors.len();
+    // A plan depends on (platform, W, kind) only, so a point plans each
+    // distinct kind of its error cells once: series `s` of a point (error
+    // `s / comps`, competitor `s % comps`) uses plan `plan_of[s]`. Kinds
+    // that carry the error (RUMR, FSC) stay distinct per error value.
+    let mut kinds: Vec<SchedulerKind> = Vec::new();
+    let plan_of: Vec<usize> = errors
+        .iter()
+        .flat_map(|&error| competitors.iter().map(move |c| c.kind_for(error)))
+        .map(|kind| match kinds.iter().position(|k| *k == kind) {
+            Some(k) => k,
+            None => {
+                kinds.push(kind);
+                kinds.len() - 1
+            }
+        })
+        .collect();
+    let sim_config = SimConfig {
+        trace_mode: config.trace_mode,
+        queue_backend: config.queue_backend,
+        speeds: config.speeds,
+        audit: config.audit,
+        ..SimConfig::default()
+    };
 
-    let slots: Vec<Mutex<Option<Cell>>> = (0..work.len()).map(|_| Mutex::new(None)).collect();
+    let blank = |point, error| Cell {
+        point,
+        error,
+        means: vec![0.0; comps],
+        link_util: config
+            .trace_mode
+            .records_summary()
+            .then(|| vec![0.0; comps]),
+        robustness: config.speeds.is_active().then(|| vec![0.0; comps]),
+        audit_findings: 0,
+    };
+    // Each cell slot also counts its finished series.
+    let cells: Vec<Mutex<(Cell, usize)>> = points
+        .iter()
+        .flat_map(|&point| errors.iter().map(move |&error| (point, error)))
+        .map(|(point, error)| Mutex::new((blank(point, error), 0)))
+        .collect();
+    let plans: Vec<Mutex<PointPlans>> = points
+        .iter()
+        .map(|_| {
+            Mutex::new(PointPlans {
+                table: None,
+                unfinished: errors.len() * comps,
+            })
+        })
+        .collect();
+    let series = cells.len() * comps;
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let threads = config.effective_threads().min(work.len()).max(1);
+    let threads = config.effective_threads().min(series).max(1);
 
+    // Series are handed out in (point, error, competitor) order, so the
+    // threads work through one cell, then one point, at a time.
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= work.len() {
-                    break;
-                }
-                let (idx, point, error) = work[i];
-                let cell = compute_cell(config, competitors, idx, point, error);
-                *slots[idx].lock().expect("sweep worker panicked") = Some(cell);
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if config.progress && (finished.is_multiple_of(500) || finished == work.len()) {
-                    eprintln!("sweep: {finished}/{} cells", work.len());
+            scope.spawn(|| {
+                let mut i = next.fetch_add(1, Ordering::Relaxed);
+                while i < series {
+                    let cell_index = i / comps;
+                    let point_index = cell_index / errors.len();
+                    let point = points[point_index];
+                    let error = errors[cell_index % errors.len()];
+                    let table = plans[point_index]
+                        .lock()
+                        .expect("sweep worker panicked")
+                        .table(kinds.len());
+                    let scenario = cell_scenario(config, point, error);
+                    // One engine per visit to a cell: the runner resets it
+                    // between the repetitions of every series this thread
+                    // runs in the cell before moving on.
+                    let mut runner = scenario.runner(sim_config.clone());
+                    let seeds = SeedDeriver::new(config.root_seed).child(cell_index as u64);
+                    loop {
+                        let c = i % comps;
+                        let plan = plan_of[i % plan_of.len()];
+                        let site = Site {
+                            competitor: competitors[c],
+                            point,
+                            error,
+                        };
+                        let prototype = table[plan].get_or_init(|| {
+                            runner
+                                .prototype(&kinds[plan])
+                                .unwrap_or_else(|e| panic!("planner failed: {e} ({site})"))
+                        });
+                        let spec = RunSpec::new(kinds[plan])
+                            .config(sim_config.clone())
+                            .with_prototype(prototype.clone());
+                        let result = run_series(config, &mut runner, spec, seeds, c, &site);
+                        let mut slot = cells[cell_index].lock().expect("sweep worker panicked");
+                        result.write_into(&mut slot.0, c);
+                        slot.1 += 1;
+                        if slot.1 == comps {
+                            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                            if config.progress
+                                && (finished.is_multiple_of(500) || finished == cells.len())
+                            {
+                                eprintln!("sweep: {finished}/{} cells", cells.len());
+                            }
+                        }
+                        drop(slot);
+                        plans[point_index]
+                            .lock()
+                            .expect("sweep worker panicked")
+                            .finish_series();
+                        i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= series || i / comps != cell_index {
+                            break;
+                        }
+                    }
                 }
             });
         }
@@ -308,24 +402,41 @@ pub fn run_sweep(config: &SweepConfig, competitors: &[Competitor]) -> SweepResul
 
     SweepResult {
         labels: competitors.iter().map(Competitor::label).collect(),
-        cells: slots
+        cells: cells
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("sweep worker panicked")
-                    .expect("all cells computed")
-            })
+            .map(|slot| slot.into_inner().expect("sweep worker panicked").0)
             .collect(),
     }
 }
 
-fn compute_cell(
-    config: &SweepConfig,
-    competitors: &[Competitor],
-    cell_index: usize,
-    point: GridPoint,
-    error: f64,
-) -> Cell {
+/// The plans of one platform point, shared by the series of its error
+/// cells.
+struct PointPlans {
+    /// One prototype per distinct scheduler kind, planned by the first
+    /// series that needs it. Built by the point's first series and dropped
+    /// when its last one finishes.
+    table: Option<Arc<[OnceLock<SchedulerPrototype>]>>,
+    /// Series of the point that have not finished yet.
+    unfinished: usize,
+}
+
+impl PointPlans {
+    fn table(&mut self, len: usize) -> Arc<[OnceLock<SchedulerPrototype>]> {
+        Arc::clone(
+            self.table
+                .get_or_insert_with(|| (0..len).map(|_| OnceLock::new()).collect()),
+        )
+    }
+
+    fn finish_series(&mut self) {
+        self.unfinished -= 1;
+        if self.unfinished == 0 {
+            self.table = None;
+        }
+    }
+}
+
+fn cell_scenario(config: &SweepConfig, point: GridPoint, error: f64) -> Scenario {
     let platform = dls_sim::HomogeneousParams::table1(
         point.n,
         point.ratio,
@@ -334,133 +445,125 @@ fn compute_cell(
     )
     .build()
     .expect("grid parameters are valid");
-    let num_workers = platform.num_workers();
-    let scenario = Scenario {
+    Scenario {
         platform,
         w_total: config.w_total,
         error_model: config.model.model(error),
         cost_profile: None,
         temporal_noise: None,
-    };
-    // One engine per cell: the runner resets it between repetitions so the
-    // event heap, ledger and queues are allocated once, not reps × comps
-    // times.
-    let sim_config = SimConfig {
-        trace_mode: config.trace_mode,
-        queue_backend: config.queue_backend,
-        speeds: config.speeds,
-        audit: config.audit,
-        ..SimConfig::default()
-    };
-    let mut runner = scenario.runner(sim_config.clone());
-    // One spec per competitor, planned once per cell; repetitions stamp
-    // out fresh schedulers by cloning the attached prototype instead of
-    // re-running the (expensive) solvers.
-    let mut specs: Vec<_> = competitors
-        .iter()
-        .map(|competitor| {
-            let kind = competitor.kind_for(error);
-            let prototype = runner.prototype(&kind).unwrap_or_else(|e| {
-                panic!(
-                    "planner failed: {e} (competitor {}, N={}, r={}, cLat={}, nLat={}, error={error})",
-                    competitor.label(),
-                    point.n,
-                    point.ratio,
-                    point.comp_latency,
-                    point.net_latency,
-                )
-            });
-            RunSpec::new(kind)
-                .config(sim_config.clone())
-                .with_prototype(prototype)
-        })
-        .collect();
-    let seeds = SeedDeriver::new(config.root_seed).child(cell_index as u64);
+    }
+}
 
-    let speeds_active = config.speeds.is_active();
-    let mut means = vec![0.0; competitors.len()];
-    let mut link_util = vec![0.0; competitors.len()];
-    let mut robustness = vec![0.0; competitors.len()];
-    let mut audit_findings = 0usize;
+/// One competitor's aggregates over a cell's repetitions.
+struct Series {
+    mean: f64,
+    link_util: f64,
+    robustness: f64,
+    audit_findings: usize,
+}
+
+impl Series {
+    fn write_into(&self, cell: &mut Cell, c: usize) {
+        cell.means[c] = self.mean;
+        if let Some(util) = &mut cell.link_util {
+            util[c] = self.link_util;
+        }
+        if let Some(ratios) = &mut cell.robustness {
+            ratios[c] = self.robustness;
+        }
+        cell.audit_findings += self.audit_findings;
+    }
+}
+
+/// Where a series runs, for panic messages.
+struct Site {
+    competitor: Competitor,
+    point: GridPoint,
+    error: f64,
+}
+
+impl fmt::Display for Site {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = self.point;
+        write!(
+            f,
+            "competitor {}, N={}, r={}, cLat={}, nLat={}, error={}",
+            self.competitor.label(),
+            p.n,
+            p.ratio,
+            p.comp_latency,
+            p.net_latency,
+            self.error
+        )
+    }
+}
+
+/// Run competitor `c`'s repetitions of one cell, in order. Repetition
+/// `rep` runs at seed `cell_seeds.child(rep).child(c)`: independent error
+/// realizations per algorithm, matching the paper's methodology (each
+/// experiment is a fresh run).
+fn run_series(
+    config: &SweepConfig,
+    runner: &mut ScenarioRunner<'_>,
+    mut spec: RunSpec,
+    cell_seeds: SeedDeriver,
+    c: usize,
+    site: &Site,
+) -> Series {
+    let num_workers = runner.scenario().platform.num_workers();
+    let mut sums = Series {
+        mean: 0.0,
+        link_util: 0.0,
+        robustness: 0.0,
+        audit_findings: 0,
+    };
     for rep in 0..config.reps {
-        let rep_seeds = seeds.child(rep);
-        for (c, competitor) in competitors.iter().enumerate() {
-            // Independent error realizations per algorithm, matching the
-            // paper's methodology (each experiment is a fresh run).
-            let seed = rep_seeds.child(c as u64).seed();
-            specs[c].seed = seed;
-            let result = runner.execute(&specs[c]).unwrap_or_else(|e| {
-                panic!(
-                    "simulation failed: {e} (competitor {}, N={}, r={}, cLat={}, nLat={}, error={error}, rep={rep})",
-                    competitor.label(),
-                    point.n,
-                    point.ratio,
-                    point.comp_latency,
-                    point.net_latency,
-                )
-            });
-            means[c] += result.makespan;
-            if let Some(findings) = &result.audit {
-                audit_findings += findings.len();
-            }
-            if speeds_active {
-                let report = scenario
-                    .robustness(&specs[c], seed, result.makespan)
-                    .expect("speed model is active");
-                robustness[c] += report.ratio;
-            }
-            match config.trace_mode {
-                TraceMode::Off => {}
-                TraceMode::MetricsOnly => {
-                    if let Some(metrics) = &result.metrics {
-                        link_util[c] += metrics.link_utilization(result.makespan);
-                    }
+        let seed = cell_seeds.child(rep).child(c as u64).seed();
+        spec.seed = seed;
+        let result = runner
+            .execute(&spec)
+            .unwrap_or_else(|e| panic!("simulation failed: {e} ({site}, rep={rep})"));
+        sums.mean += result.makespan;
+        if let Some(findings) = &result.audit {
+            sums.audit_findings += findings.len();
+        }
+        if config.speeds.is_active() {
+            let report = runner
+                .scenario()
+                .robustness(&spec, seed, result.makespan)
+                .expect("speed model is active");
+            sums.robustness += report.ratio;
+        }
+        match config.trace_mode {
+            TraceMode::Off => {}
+            TraceMode::MetricsOnly => {
+                if let Some(metrics) = &result.metrics {
+                    sums.link_util += metrics.link_utilization(result.makespan);
                 }
-                TraceMode::Full => {
-                    // A fully traced sweep is the self-checking
-                    // configuration: every run's trace is validated against
-                    // the engine's protocol invariants (serial sends, FIFO
-                    // queues, conservation) and the derived trace metrics
-                    // feed the cell aggregates.
-                    if let Some(trace) = &result.trace {
-                        let violations = trace.validate(num_workers);
-                        assert!(
-                            violations.is_empty(),
-                            "trace violations (competitor {}, N={}, error={error}, rep={rep}): {violations:?}",
-                            competitor.label(),
-                            point.n,
-                        );
-                        let tm = TraceMetrics::from_trace(trace, num_workers);
-                        link_util[c] += tm.link_utilization;
-                    }
+            }
+            TraceMode::Full => {
+                // A fully traced sweep is the self-checking
+                // configuration: every run's trace is validated against
+                // the engine's protocol invariants (serial sends, FIFO
+                // queues, conservation) and the derived trace metrics
+                // feed the cell aggregates.
+                if let Some(trace) = &result.trace {
+                    let violations = trace.validate(num_workers);
+                    assert!(
+                        violations.is_empty(),
+                        "trace violations ({site}, rep={rep}): {violations:?}"
+                    );
+                    let tm = TraceMetrics::from_trace(trace, num_workers);
+                    sums.link_util += tm.link_utilization;
                 }
             }
         }
     }
     let denom = config.reps as f64;
-    for m in &mut means {
-        *m /= denom;
-    }
-    let link_util = config.trace_mode.records_summary().then(|| {
-        for u in &mut link_util {
-            *u /= denom;
-        }
-        link_util
-    });
-    let robustness = speeds_active.then(|| {
-        for r in &mut robustness {
-            *r /= denom;
-        }
-        robustness
-    });
-    Cell {
-        point,
-        error,
-        means,
-        link_util,
-        robustness,
-        audit_findings,
-    }
+    sums.mean /= denom;
+    sums.link_util /= denom;
+    sums.robustness /= denom;
+    sums
 }
 
 #[cfg(test)]

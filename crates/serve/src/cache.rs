@@ -50,7 +50,7 @@ pub type SimCache = LruCache<Arc<String>>;
 /// cloneable value.
 ///
 /// Capacity 0 disables caching (every `get` misses, `insert` is a no-op).
-/// Locks recover from poisoning (see [`crate::sync`]).
+/// Locks recover from poisoning (see the crate's `sync` module).
 pub struct LruCache<V: Clone> {
     inner: Mutex<Inner<V>>,
     capacity: usize,

@@ -371,12 +371,6 @@ struct ChunkRecord {
     state: ChunkState,
 }
 
-struct WorkerState {
-    view: WorkerView,
-    /// Received chunks awaiting computation: (ledger id, size, first unit).
-    queue: VecDeque<(usize, f64, f64)>,
-}
-
 /// A transfer in its data phase, sharing the master's uplink.
 #[derive(Debug, Clone, Copy)]
 struct PoolTransfer {
@@ -405,8 +399,8 @@ const POOL_EPS: f64 = 1e-9;
 /// For repeated runs over the same platform (sweeps, benchmarks), keep one
 /// engine alive and alternate [`Engine::reset`] / [`Engine::run_reusing`]:
 /// every internal buffer — event heap, work ledger, worker queues, transfer
-/// pool, scheduler-view snapshot — retains its allocation across runs, so
-/// steady-state repetitions allocate almost nothing.
+/// pool — retains its allocation across runs, so steady-state repetitions
+/// allocate almost nothing.
 pub struct Engine<'a> {
     platform: &'a Platform,
     injector: ErrorInjector,
@@ -420,7 +414,12 @@ pub struct Engine<'a> {
     pool: Vec<PoolTransfer>,
     pool_epoch: u64,
     pool_updated: f64,
-    workers: Vec<WorkerState>,
+    /// Per-worker live state; every scheduler consultation borrows it
+    /// as `SimView::workers`, so it is never copied.
+    views: Vec<WorkerView>,
+    /// Per-worker received chunks awaiting computation: (ledger id, size,
+    /// first unit).
+    queues: Vec<VecDeque<(usize, f64, f64)>>,
     trace: Trace,
     num_chunks: usize,
     dispatched_work: f64,
@@ -461,9 +460,6 @@ pub struct Engine<'a> {
     /// Chunks in an outstanding ledger state (dispatched, not yet completed
     /// or lost).
     outstanding_chunks: usize,
-    /// Reusable scheduler-view snapshot: filled in place on every dispatch
-    /// consultation instead of allocating a fresh `Vec` per decision.
-    views_buf: Vec<WorkerView>,
     /// True after `run_reusing` consumed this engine's state; cleared by
     /// `reset`.
     used: bool,
@@ -536,12 +532,8 @@ impl<'a> Engine<'a> {
             pool: Vec::new(),
             pool_epoch: 0,
             pool_updated: 0.0,
-            workers: (0..n)
-                .map(|_| WorkerState {
-                    view: WorkerView::default(),
-                    queue: VecDeque::new(),
-                })
-                .collect(),
+            views: vec![WorkerView::default(); n],
+            queues: vec![VecDeque::new(); n],
             trace: Trace::new(),
             num_chunks: 0,
             dispatched_work: 0.0,
@@ -561,7 +553,6 @@ impl<'a> Engine<'a> {
             lost_chunks: 0,
             redispatched_work: 0.0,
             outstanding_chunks: 0,
-            views_buf: Vec::with_capacity(n),
             used: false,
             trace_events: 0,
             link_busy: 0.0,
@@ -591,9 +582,9 @@ impl<'a> Engine<'a> {
         self.pool.clear();
         self.pool_epoch = 0;
         self.pool_updated = 0.0;
-        for w in &mut self.workers {
-            w.view = WorkerView::default();
-            w.queue.clear();
+        self.views.fill(WorkerView::default());
+        for q in &mut self.queues {
+            q.clear();
         }
         self.trace = Trace::new();
         self.num_chunks = 0;
@@ -699,14 +690,14 @@ impl<'a> Engine<'a> {
     }
 
     fn start_compute(&mut self, worker: usize, scheduler: &mut dyn Scheduler) {
-        let (id, chunk, unit_start) = match self.workers[worker].queue.pop_front() {
+        let (id, chunk, unit_start) = match self.queues[worker].pop_front() {
             Some(c) => c,
             None => return,
         };
-        let w = &mut self.workers[worker];
-        w.view.queued_chunks -= 1;
-        w.view.queued_work -= chunk;
-        w.view.computing = true;
+        let v = &mut self.views[worker];
+        v.queued_chunks -= 1;
+        v.queued_work -= chunk;
+        v.computing = true;
         let last_end = self.last_compute_end[worker];
         if last_end.is_finite() && self.now > last_end + 1e-12 {
             self.gap_time[worker] += self.now - last_end;
@@ -807,11 +798,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Complete every pool transfer whose data has fully crossed the
-    /// master's interface.
+    /// master's interface — or whose leftover residue would take less than
+    /// half an ulp of `now` to send: its completion check would be queued
+    /// at exactly `now`, integrate zero progress, and spin forever.
     fn drain_completed_transfers(&mut self) {
         let mut i = 0;
         while i < self.pool.len() {
-            if self.pool[i].remaining <= POOL_EPS {
+            let t = &self.pool[i];
+            if t.remaining <= POOL_EPS || self.now + t.remaining / t.rate <= self.now {
                 let t = self.pool.remove(i);
                 self.dec_sending();
                 if t.is_return {
@@ -877,54 +871,44 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Let the scheduler use the free send slots. The per-worker view
-    /// snapshot is rebuilt in place in a reused buffer — the dispatch loop
-    /// runs several times per chunk, and a fresh `Vec` per consultation
-    /// used to dominate the engine's allocation profile.
+    /// Let the scheduler use the free send slots. The scheduler reads the
+    /// live per-worker views in place — the dispatch loop runs several
+    /// times per chunk, so nothing is copied per consultation.
     fn try_dispatch(
         &mut self,
         scheduler: &mut dyn Scheduler,
         finished: &mut bool,
     ) -> Result<(), SimError> {
-        let mut views = std::mem::take(&mut self.views_buf);
-        let mut outcome = Ok(());
         while !*finished && self.sending < self.config.max_concurrent_sends {
-            views.clear();
-            views.extend(self.workers.iter().map(|w| w.view));
             let decision = scheduler.next_dispatch(&SimView {
                 time: self.now,
-                workers: &views,
+                workers: &self.views,
             });
-            let step = match decision {
+            match decision {
                 Decision::Wait => break,
                 Decision::WaitUntil { time } => {
                     if !time.is_finite() || time < 0.0 {
-                        outcome = Err(SimError::InvalidTimer { time });
-                    } else {
-                        let due = time.max(self.now);
-                        // A pending timer at or before `due` already
-                        // guarantees the wake-up; only schedule otherwise.
-                        if !self.pending_timers.iter().any(|&t| t <= due) {
-                            self.pending_timers.push(due);
-                            self.schedule(due, Event::Timer);
-                        }
+                        return Err(SimError::InvalidTimer { time });
+                    }
+                    let due = time.max(self.now);
+                    // A pending timer at or before `due` already
+                    // guarantees the wake-up; only schedule otherwise.
+                    if !self.pending_timers.iter().any(|&t| t <= due) {
+                        self.pending_timers.push(due);
+                        self.schedule(due, Event::Timer);
                     }
                     break;
                 }
-                Decision::Finished => {
-                    *finished = true;
-                    Ok(())
+                Decision::Finished => *finished = true,
+                Decision::Dispatch { worker, chunk } => {
+                    self.dispatch_chunk(worker, chunk, false)?
                 }
-                Decision::Dispatch { worker, chunk } => self.dispatch_chunk(worker, chunk, false),
-                Decision::Redispatch { worker, chunk } => self.dispatch_chunk(worker, chunk, true),
-            };
-            if let Err(e) = step {
-                outcome = Err(e);
-                break;
+                Decision::Redispatch { worker, chunk } => {
+                    self.dispatch_chunk(worker, chunk, true)?
+                }
             }
         }
-        self.views_buf = views;
-        outcome
+        Ok(())
     }
 
     /// Validate and start one input transfer; shared by `Dispatch` and
@@ -935,16 +919,16 @@ impl<'a> Engine<'a> {
         chunk: f64,
         redispatch: bool,
     ) -> Result<(), SimError> {
-        if worker >= self.workers.len() || !chunk.is_finite() || chunk <= 0.0 {
+        if worker >= self.views.len() || !chunk.is_finite() || chunk <= 0.0 {
             return Err(SimError::InvalidDispatch { worker, chunk });
         }
         self.inc_sending();
         self.num_chunks += 1;
         self.dispatched_work += chunk;
-        let w = &mut self.workers[worker];
-        w.view.in_flight_chunks += 1;
-        w.view.in_flight_work += chunk;
-        w.view.assigned_work += chunk;
+        let v = &mut self.views[worker];
+        v.in_flight_chunks += 1;
+        v.in_flight_work += chunk;
+        v.assigned_work += chunk;
 
         // One perturbation draw covers the whole communication
         // operation: it stretches the setup latency, slows the
@@ -1052,25 +1036,26 @@ impl<'a> Engine<'a> {
                     self.dec_sending();
                     pool_touched = true;
                 }
-                let v = &mut self.workers[worker].view;
+                let v = &mut self.views[worker];
                 v.in_flight_chunks -= 1;
                 v.in_flight_work -= rec.size;
             }
             ChunkState::InFlight => {
-                let v = &mut self.workers[worker].view;
+                let v = &mut self.views[worker];
                 v.in_flight_chunks -= 1;
                 v.in_flight_work -= rec.size;
             }
             ChunkState::Queued => {
-                let ws = &mut self.workers[worker];
-                if let Some(pos) = ws.queue.iter().position(|&(qid, _, _)| qid == id) {
-                    ws.queue.remove(pos);
+                let queue = &mut self.queues[worker];
+                if let Some(pos) = queue.iter().position(|&(qid, _, _)| qid == id) {
+                    queue.remove(pos);
                 }
-                ws.view.queued_chunks -= 1;
-                ws.view.queued_work -= rec.size;
+                let v = &mut self.views[worker];
+                v.queued_chunks -= 1;
+                v.queued_work -= rec.size;
             }
             ChunkState::Computing => {
-                self.workers[worker].view.computing = false;
+                self.views[worker].computing = false;
                 if let Some((cid, end)) = self.current_compute[worker].take() {
                     debug_assert_eq!(cid, id, "current-compute ledger mismatch");
                     // Refund the pre-credited busy time the worker will
@@ -1087,7 +1072,7 @@ impl<'a> Engine<'a> {
             ChunkState::Computing => LostStage::Computing,
             ChunkState::Completed | ChunkState::Lost => unreachable!("settled chunk"),
         };
-        self.workers[worker].view.assigned_work -= rec.size;
+        self.views[worker].assigned_work -= rec.size;
         self.ledger[id].state = ChunkState::Lost;
         self.outstanding_chunks -= 1;
         self.lost_work += rec.size;
@@ -1122,10 +1107,10 @@ impl<'a> Engine<'a> {
     ) {
         match action {
             FaultAction::Down => {
-                if !self.workers[worker].view.alive {
+                if !self.views[worker].alive {
                     return; // already down
                 }
-                self.workers[worker].view.alive = false;
+                self.views[worker].alive = false;
                 self.record(TraceEvent::WorkerDown {
                     worker,
                     time: self.now,
@@ -1149,11 +1134,11 @@ impl<'a> Engine<'a> {
                 self.doomed_buf = doomed;
             }
             FaultAction::Up => {
-                if self.workers[worker].view.alive {
+                if self.views[worker].alive {
                     return; // already up
                 }
-                debug_assert!(self.workers[worker].queue.is_empty(), "dead worker queue");
-                self.workers[worker].view.alive = true;
+                debug_assert!(self.queues[worker].is_empty(), "dead worker queue");
+                self.views[worker].alive = true;
                 self.record(TraceEvent::WorkerUp {
                     worker,
                     time: self.now,
@@ -1230,7 +1215,7 @@ impl<'a> Engine<'a> {
             num_chunks: self.num_chunks,
             dispatched_work: self.dispatched_work,
             returned_work: self.returned_work,
-            per_worker_work: self.workers.iter().map(|w| w.view.completed_work).collect(),
+            per_worker_work: self.views.iter().map(|v| v.completed_work).collect(),
             per_worker_busy: std::mem::take(&mut self.per_worker_busy),
             lost_work: self.lost_work,
             lost_chunks: self.lost_chunks,
@@ -1283,14 +1268,14 @@ impl<'a> Engine<'a> {
         cols.dispatched_work.push(self.dispatched_work);
         cols.returned_work.push(self.returned_work);
         cols.completed_work
-            .push(self.workers.iter().map(|w| w.view.completed_work).sum());
+            .push(self.views.iter().map(|v| v.completed_work).sum());
         cols.lost_work.push(self.lost_work);
         cols.lost_chunks.push(self.lost_chunks);
         cols.redispatched_work.push(self.redispatched_work);
         cols.outstanding_work.push(outstanding_work);
         cols.events.push(self.events_processed);
         cols.per_worker_work
-            .extend(self.workers.iter().map(|w| w.view.completed_work));
+            .extend(self.views.iter().map(|v| v.completed_work));
         cols.per_worker_busy
             .extend_from_slice(&self.per_worker_busy);
         cols.lost_ranges.extend(self.lost_units.drain(..));
@@ -1403,7 +1388,7 @@ impl<'a> Engine<'a> {
                     if self.ledger[id].state != ChunkState::InFlight {
                         continue; // Destroyed mid-flight by a link drop.
                     }
-                    if !self.workers[worker].view.alive {
+                    if !self.views[worker].alive {
                         // Delivered to a crashed worker: destroyed on
                         // arrival (no Arrival is recorded — the worker
                         // never received it).
@@ -1417,14 +1402,14 @@ impl<'a> Engine<'a> {
                         chunk,
                         time: self.now,
                     });
-                    let w = &mut self.workers[worker];
-                    w.view.in_flight_chunks -= 1;
-                    w.view.in_flight_work -= chunk;
-                    w.view.queued_chunks += 1;
-                    w.view.queued_work += chunk;
-                    w.queue.push_back((id, chunk, unit_start));
+                    let v = &mut self.views[worker];
+                    v.in_flight_chunks -= 1;
+                    v.in_flight_work -= chunk;
+                    v.queued_chunks += 1;
+                    v.queued_work += chunk;
+                    self.queues[worker].push_back((id, chunk, unit_start));
                     scheduler.on_arrival(worker, chunk, self.now);
-                    if !self.workers[worker].view.computing {
+                    if !self.views[worker].computing {
                         self.start_compute(worker, scheduler);
                     }
                 }
@@ -1441,10 +1426,10 @@ impl<'a> Engine<'a> {
                         chunk,
                         time: self.now,
                     });
-                    let w = &mut self.workers[worker];
-                    w.view.computing = false;
-                    w.view.completed_chunks += 1;
-                    w.view.completed_work += chunk;
+                    let v = &mut self.views[worker];
+                    v.computing = false;
+                    v.completed_chunks += 1;
+                    v.completed_work += chunk;
                     scheduler.on_compute_end(worker, chunk, self.now);
                     if self.config.output_ratio > 0.0 {
                         self.return_queue
@@ -1486,11 +1471,7 @@ impl<'a> Engine<'a> {
         debug_assert!(
             {
                 let residual = self.dispatched_work
-                    - (self
-                        .workers
-                        .iter()
-                        .map(|w| w.view.completed_work)
-                        .sum::<f64>()
+                    - (self.views.iter().map(|v| v.completed_work).sum::<f64>()
                         + self.lost_work
                         + outstanding_work);
                 residual.abs() <= 1e-6 * self.dispatched_work.abs().max(1.0)
@@ -1509,7 +1490,7 @@ impl<'a> Engine<'a> {
     /// Finalize the streaming invariant checker against the run's work
     /// ledger (when auditing was on).
     fn finalize_audit(&mut self, outstanding_work: f64) -> Option<Vec<InvariantFinding>> {
-        let completed_work: f64 = self.workers.iter().map(|w| w.view.completed_work).sum();
+        let completed_work: f64 = self.views.iter().map(|v| v.completed_work).sum();
         let dispatched = self.dispatched_work;
         let lost = self.lost_work;
         self.checker.as_mut().map(|c| {

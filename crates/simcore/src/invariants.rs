@@ -464,7 +464,7 @@ impl InvariantChecker {
     /// Close the books: structural end-state plus conservation against the
     /// engine's ledger. Returns all findings (streamed + final), leaving
     /// the checker in a consumed state; a suppression notice is appended
-    /// when more than [`MAX_FINDINGS`] violations occurred.
+    /// when more than `MAX_FINDINGS` (32) violations occurred.
     ///
     /// When `ledger.outstanding` is materially non-zero the run ended with
     /// the engine giving up on unreachable work (faulty run), so dangling

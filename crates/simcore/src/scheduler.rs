@@ -114,7 +114,10 @@ impl WorkerView {
     }
 }
 
-/// Read-only snapshot handed to the scheduler on every decision point.
+/// Read-only view handed to the scheduler on every decision point. It
+/// borrows the engine's live per-worker state (nothing is copied), so it
+/// is valid only for the duration of the call; schedulers that need the
+/// state later must copy what they need.
 #[derive(Debug)]
 pub struct SimView<'a> {
     /// Current simulation time in seconds.

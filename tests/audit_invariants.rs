@@ -259,3 +259,20 @@ fn corrupted_streams_trip_the_checker() {
         "lost 5.0 in the stream but ledger says 0: {findings:?}"
     );
 }
+
+/// Regression: a transfer-pool residue just above the completion epsilon
+/// whose send time is below half an ulp of the clock (MI-3 at t ≈ 133, a
+/// leftover of ~1.1e-9 units at rate ~7.7e4) used to queue its completion
+/// check at exactly `now`, integrate zero progress and spin until the
+/// event limit. It must complete like any drained transfer.
+#[test]
+fn sub_ulp_transfer_residue_completes() {
+    let scenario = Scenario::table1(50, 1.6, 0.0, 1.0, 0.45);
+    let spec = RunSpec::new(SchedulerKind::Mi { installments: 3 })
+        .seed(11102451)
+        .config(audited(TraceMode::MetricsOnly, FaultModel::None));
+    let result = scenario.execute(&spec).expect("run terminates");
+    assert_eq!(result.num_chunks, 150);
+    assert_eq!(result.events, 600);
+    assert_eq!(result.audit.as_deref(), Some(&[][..]));
+}
