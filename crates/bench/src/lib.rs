@@ -14,7 +14,7 @@
 //! This library only hosts small shared helpers for those benches.
 
 use dls_experiments::{ErrorModelKind, SweepConfig, Table1Grid};
-use rumr::{QueueBackend, SpeedModel, TraceMode};
+use rumr::{SpeedModel, TraceMode};
 
 /// A deliberately small sweep configuration so each bench iteration stays
 /// in the millisecond range: 4 platform points, 3 error values, 2 reps.
@@ -34,7 +34,6 @@ pub fn bench_sweep_config() -> SweepConfig {
         w_total: 1000.0,
         progress: false,
         trace_mode: TraceMode::Off,
-        queue_backend: QueueBackend::default(),
         speeds: SpeedModel::Declared,
         audit: false,
     }

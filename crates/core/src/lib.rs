@@ -75,6 +75,6 @@ pub use dls_sim as sim;
 pub use dls_sim::{
     ErrorModel, EventCounts, FairnessSummary, FaultModel, FaultPlan, HomogeneousParams, JobMetrics,
     JobSet, JobSetError, JobSpec, MetricsSummary, Platform, PlatformError, PoissonFaults,
-    QueueBackend, RealizedSpeeds, RepColumns, SimConfig, SimResult, SpeedModel, TraceMetrics,
-    TraceMode, WorkerSpec,
+    RealizedSpeeds, RepColumns, SimConfig, SimResult, SpeedModel, TraceMetrics, TraceMode,
+    WorkerSpec,
 };

@@ -119,12 +119,6 @@ impl MultiRunSpec {
         self
     }
 
-    /// Set the pending-event queue backend.
-    pub fn queue(mut self, backend: dls_sim::QueueBackend) -> Self {
-        self.config.queue_backend = backend;
-        self
-    }
-
     /// Set the fault model.
     pub fn faults(mut self, faults: dls_sim::FaultModel) -> Self {
         self.config.faults = faults;

@@ -12,16 +12,11 @@
 //! for allocation-free repetition loops, or
 //! [`ScenarioRunner::execute_batch`] to run a whole repetition batch
 //! through one engine pass into reused [`RepColumns`] buffers.
-//!
-//! The legacy `run_*` helpers are retired behind the default-off
-//! `legacy-api` cargo feature: they remain thin forwarding wrappers over
-//! the same code path (bit-identical, as the feature-gated equivalence
-//! tests pin), but new code must build a [`RunSpec`].
 
 use dls_sched::recovery::{Recovering, RecoveryConfig};
 use dls_sim::{
-    simulate, CostProfile, Engine, ErrorInjector, ErrorModel, FaultModel, Platform, QueueBackend,
-    RepColumns, Scheduler, SimConfig, SimError, SimResult, SpeedModel, TraceMode, WorkerSpec,
+    simulate, CostProfile, Engine, ErrorInjector, ErrorModel, FaultModel, Platform, RepColumns,
+    Scheduler, SimConfig, SimError, SimResult, SpeedModel, TraceMode, WorkerSpec,
 };
 
 use crate::kind::{BuildError, SchedulerKind, SchedulerPrototype};
@@ -59,7 +54,7 @@ pub struct RunSpec {
     /// Number of seeded repetitions for [`Scenario::execute_mean`]
     /// (single-run entry points use only `seed`). Must be ≥ 1.
     pub reps: u64,
-    /// Engine configuration (trace mode, fault model, queue backend, …).
+    /// Engine configuration (trace mode, fault model, speed model, …).
     pub config: SimConfig,
     /// When set, the scheduler is wrapped in the fault-recovery layer
     /// ([`Recovering`]) with this policy.
@@ -109,12 +104,6 @@ impl RunSpec {
     /// Set the observability level of the run.
     pub fn trace_mode(mut self, mode: TraceMode) -> Self {
         self.config.trace_mode = mode;
-        self
-    }
-
-    /// Set the pending-event queue backend.
-    pub fn queue(mut self, backend: QueueBackend) -> Self {
-        self.config.queue_backend = backend;
         self
     }
 
@@ -436,104 +425,6 @@ impl Scenario {
         })
     }
 
-    /// Run one simulation.
-    ///
-    /// Legacy wrapper over [`Scenario::execute`] (bit-identical), kept
-    /// only under the `legacy-api` feature; build a [`RunSpec`] instead.
-    #[cfg(feature = "legacy-api")]
-    pub fn run(&self, kind: &SchedulerKind, seed: u64) -> Result<SimResult, RunError> {
-        self.execute(&RunSpec::new(*kind).seed(seed))
-    }
-
-    /// Run one simulation and record the full event trace.
-    ///
-    /// Legacy wrapper over [`Scenario::execute`] (bit-identical), kept
-    /// only under the `legacy-api` feature; prefer
-    /// `RunSpec::new(kind).trace_mode(TraceMode::Full)`.
-    #[cfg(feature = "legacy-api")]
-    pub fn run_traced(&self, kind: &SchedulerKind, seed: u64) -> Result<SimResult, RunError> {
-        self.execute(&RunSpec::new(*kind).seed(seed).trace_mode(TraceMode::Full))
-    }
-
-    /// Run under the concurrent-transfer extension: up to `max_sends`
-    /// simultaneous master transfers sharing `uplink_capacity` (units/s)
-    /// max-min fairly. `max_sends = 1` is the paper's serial model.
-    ///
-    /// Legacy wrapper over [`Scenario::execute`] (bit-identical), kept
-    /// only under the `legacy-api` feature; prefer a [`RunSpec`] with the
-    /// fields set on its `config`.
-    #[cfg(feature = "legacy-api")]
-    pub fn run_concurrent(
-        &self,
-        kind: &SchedulerKind,
-        seed: u64,
-        max_sends: usize,
-        uplink_capacity: Option<f64>,
-    ) -> Result<SimResult, RunError> {
-        self.execute(&RunSpec::new(*kind).seed(seed).config(SimConfig {
-            max_concurrent_sends: max_sends,
-            uplink_capacity,
-            ..Default::default()
-        }))
-    }
-
-    /// Run under a fault model (worker crashes, link drops — see
-    /// `dls_sim::faults`). The scheduler is used as-is; plain schedulers
-    /// lose the destroyed work and under-complete. Wrap with
-    /// [`Scenario::run_recovering`] for full completion.
-    ///
-    /// Legacy wrapper over [`Scenario::execute`] (bit-identical), kept
-    /// only under the `legacy-api` feature; prefer
-    /// `RunSpec::new(kind).faults(faults)`.
-    #[cfg(feature = "legacy-api")]
-    pub fn run_with_faults(
-        &self,
-        kind: &SchedulerKind,
-        seed: u64,
-        faults: FaultModel,
-    ) -> Result<SimResult, RunError> {
-        self.execute(&RunSpec::new(*kind).seed(seed).faults(faults))
-    }
-
-    /// Run with the scheduler wrapped in the fault-recovery layer
-    /// (`dls_sched::recovery::Recovering`): lost work is redispatched and
-    /// dispatches are routed around dead workers. Pass the fault model via
-    /// `config.faults`.
-    ///
-    /// Legacy wrapper over [`Scenario::execute`] (bit-identical), kept
-    /// only under the `legacy-api` feature; prefer
-    /// `RunSpec::new(kind).config(config).recovering(recovery)`.
-    #[cfg(feature = "legacy-api")]
-    pub fn run_recovering(
-        &self,
-        kind: &SchedulerKind,
-        seed: u64,
-        config: SimConfig,
-        recovery: RecoveryConfig,
-    ) -> Result<SimResult, RunError> {
-        self.execute(
-            &RunSpec::new(*kind)
-                .seed(seed)
-                .config(config)
-                .recovering(recovery),
-        )
-    }
-
-    /// Run with an explicit engine configuration.
-    ///
-    /// Legacy wrapper over [`Scenario::execute`] (bit-identical), kept
-    /// only under the `legacy-api` feature; prefer
-    /// `RunSpec::new(kind).config(config)`.
-    #[cfg(feature = "legacy-api")]
-    pub fn run_with_config(
-        &self,
-        kind: &SchedulerKind,
-        seed: u64,
-        config: SimConfig,
-    ) -> Result<SimResult, RunError> {
-        self.execute(&RunSpec::new(*kind).seed(seed).config(config))
-    }
-
     /// The scenario's seeded error injector.
     pub(crate) fn injector(&self, seed: u64) -> ErrorInjector {
         let mut injector = match &self.cost_profile {
@@ -544,22 +435,6 @@ impl Scenario {
             injector = injector.with_temporal_noise(noise);
         }
         injector
-    }
-
-    /// Mean makespan of `kind` over `reps` seeded repetitions
-    /// (seeds `seed_base..seed_base + reps`).
-    ///
-    /// Legacy wrapper over [`Scenario::execute_mean`] (bit-identical),
-    /// kept only under the `legacy-api` feature; prefer
-    /// `RunSpec::new(kind).seed(seed_base).reps(reps)`.
-    #[cfg(feature = "legacy-api")]
-    pub fn mean_makespan(
-        &self,
-        kind: &SchedulerKind,
-        seed_base: u64,
-        reps: u64,
-    ) -> Result<f64, RunError> {
-        self.execute_mean(&RunSpec::new(*kind).seed(seed_base).reps(reps))
     }
 }
 
@@ -590,8 +465,16 @@ impl ScenarioRunner<'_> {
     /// [`ScenarioRunner::execute_batch`] for whole batches.
     pub fn execute_at(&mut self, spec: &RunSpec, seed: u64) -> Result<SimResult, RunError> {
         self.ensure_config(spec);
-        let scheduler = spec.instantiate(&self.scenario.platform, self.scenario.w_total)?;
-        self.run_pieces(scheduler, seed, spec.recovery)
+        let mut scheduler = spec.instantiate(&self.scenario.platform, self.scenario.w_total)?;
+        self.engine.reset(self.scenario.injector(seed));
+        match spec.recovery {
+            Some(rc) => {
+                let mut wrapped = Recovering::with_config(scheduler, rc)
+                    .with_declared_rates(divergence_rates(&self.scenario.platform, &rc));
+                Ok(self.engine.run_reusing(&mut wrapped)?)
+            }
+            None => Ok(self.engine.run_reusing(scheduler.as_mut())?),
+        }
     }
 
     /// Run the spec's whole repetition batch (seeds [`RunSpec::seeds`])
@@ -654,91 +537,12 @@ impl ScenarioRunner<'_> {
         }
     }
 
-    /// Shared execution tail: reset the engine to `seed`, optionally wrap
-    /// the scheduler in the recovery layer, run. Every public entry point
-    /// of the runner funnels through here.
-    fn run_pieces(
-        &mut self,
-        mut scheduler: Box<dyn Scheduler>,
-        seed: u64,
-        recovery: Option<RecoveryConfig>,
-    ) -> Result<SimResult, RunError> {
-        self.engine.reset(self.scenario.injector(seed));
-        match recovery {
-            Some(rc) => {
-                let mut wrapped = Recovering::with_config(scheduler, rc)
-                    .with_declared_rates(divergence_rates(&self.scenario.platform, &rc));
-                Ok(self.engine.run_reusing(&mut wrapped)?)
-            }
-            None => Ok(self.engine.run_reusing(scheduler.as_mut())?),
-        }
-    }
-
-    /// Run one simulation, reusing the engine's buffers.
-    ///
-    /// Legacy wrapper over [`ScenarioRunner::execute`] (bit-identical),
-    /// kept only under the `legacy-api` feature; build a [`RunSpec`]
-    /// instead.
-    #[cfg(feature = "legacy-api")]
-    pub fn run(&mut self, kind: &SchedulerKind, seed: u64) -> Result<SimResult, RunError> {
-        let scheduler = kind.build(&self.scenario.platform, self.scenario.w_total)?;
-        self.run_pieces(scheduler, seed, None)
-    }
-
     /// Pre-plan a scheduler for this runner's scenario (see
     /// [`SchedulerKind::prototype`]). Pair with
     /// [`RunSpec::with_prototype`] in repetition loops to pay the planner
     /// cost once instead of per run.
     pub fn prototype(&self, kind: &SchedulerKind) -> Result<SchedulerPrototype, RunError> {
         Ok(kind.prototype(&self.scenario.platform, self.scenario.w_total)?)
-    }
-
-    /// Run one simulation from a pre-planned prototype, reusing the
-    /// engine's buffers.
-    ///
-    /// Legacy wrapper over [`ScenarioRunner::execute`] (bit-identical),
-    /// kept only under the `legacy-api` feature; prefer
-    /// `RunSpec::with_prototype`.
-    #[cfg(feature = "legacy-api")]
-    pub fn run_prototype(
-        &mut self,
-        proto: &SchedulerPrototype,
-        seed: u64,
-    ) -> Result<SimResult, RunError> {
-        self.run_pieces(proto.fresh(), seed, None)
-    }
-
-    /// Run one simulation with the scheduler wrapped in the fault-recovery
-    /// layer, reusing the engine's buffers.
-    ///
-    /// Legacy wrapper over [`ScenarioRunner::execute`] (bit-identical),
-    /// kept only under the `legacy-api` feature; prefer
-    /// `RunSpec::recovering`.
-    #[cfg(feature = "legacy-api")]
-    pub fn run_recovering(
-        &mut self,
-        kind: &SchedulerKind,
-        seed: u64,
-        recovery: RecoveryConfig,
-    ) -> Result<SimResult, RunError> {
-        let scheduler = kind.build(&self.scenario.platform, self.scenario.w_total)?;
-        self.run_pieces(scheduler, seed, Some(recovery))
-    }
-
-    /// Run one simulation from a pre-planned prototype wrapped in the
-    /// fault-recovery layer, reusing the engine's buffers.
-    ///
-    /// Legacy wrapper over [`ScenarioRunner::execute`] (bit-identical),
-    /// kept only under the `legacy-api` feature; prefer
-    /// `RunSpec::with_prototype` + `RunSpec::recovering`.
-    #[cfg(feature = "legacy-api")]
-    pub fn run_recovering_prototype(
-        &mut self,
-        proto: &SchedulerPrototype,
-        seed: u64,
-        recovery: RecoveryConfig,
-    ) -> Result<SimResult, RunError> {
-        self.run_pieces(proto.fresh(), seed, Some(recovery))
     }
 
     /// The scenario this runner simulates.
@@ -1087,23 +891,6 @@ mod tests {
         let with_proto = spec.clone().with_prototype(proto);
         assert_eq!(spec, with_proto);
         assert_ne!(spec, spec.clone().seed(10));
-    }
-
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    fn execute_matches_legacy_wrappers() {
-        let s = Scenario::table1(10, 1.5, 0.2, 0.2, 0.3);
-        let kind = SchedulerKind::rumr_known_error(0.3);
-        let legacy = s.run(&kind, 7).unwrap();
-        let spec = RunSpec::new(kind).seed(7);
-        let unified = s.execute(&spec).unwrap();
-        assert_eq!(legacy.makespan.to_bits(), unified.makespan.to_bits());
-        assert_eq!(legacy.num_chunks, unified.num_chunks);
-
-        // Prototype-backed execution is bit-identical too.
-        let proto = kind.prototype(&s.platform, s.w_total).unwrap();
-        let via_proto = s.execute(&spec.clone().with_prototype(proto)).unwrap();
-        assert_eq!(legacy.makespan.to_bits(), via_proto.makespan.to_bits());
     }
 
     #[test]

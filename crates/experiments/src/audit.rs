@@ -4,18 +4,17 @@
 //! ([`pinned_cases`], 16 of them) through the full
 //! configuration cross-product
 //!
-//! > {heap, calendar} event queue × {Off, MetricsOnly, Full} trace mode ×
-//! > {fresh build, prototype clone}
+//! > {Off, MetricsOnly, Full} trace mode × {fresh build, prototype clone}
 //!
 //! with the engine's streaming [`InvariantChecker`](rumr::sim::InvariantChecker)
 //! enabled, and checks three independent layers:
 //!
 //! 1. **Differential**: every configuration must produce *bit-identical*
-//!    results to the reference configuration (heap / Off / fresh) at equal
-//!    seed — the first divergent metric is reported.
+//!    results to the reference configuration (Off / fresh) at equal seed —
+//!    the first divergent metric is reported.
 //! 2. **Invariants**: zero streaming invariant findings in every run; under
-//!    `Full` the post-hoc [`Trace::validate`](rumr::sim::Trace::validate)
-//!    must agree.
+//!    `Full` the stored trace must also replay clean through
+//!    [`Trace::validate`](rumr::sim::Trace::validate).
 //! 3. **Analytic oracles**: each planner's closed-form prediction
 //!    ([`SchedulerKind::oracle`]) must account for the full workload, and —
 //!    on an error-free twin of the scenario — the simulated makespan must
@@ -24,18 +23,18 @@
 //!    round-by-round against its dispatch/finish timeline.
 //!
 //! The `audit` binary wraps this as a CLI and exits non-zero on any
-//! finding; CI runs it in quick mode on both backends.
+//! finding; CI runs it in quick mode.
 
 use std::fmt;
 
 use rumr::sim::TraceEvent;
 use rumr::{
-    ErrorModel, FaultModel, Prediction, QueueBackend, RecoveryConfig, RunSpec, SchedulerKind,
-    SimConfig, SimResult, TraceMode,
+    ErrorModel, FaultModel, Prediction, RecoveryConfig, RunSpec, SchedulerKind, SimConfig,
+    SimResult, TraceMode,
 };
 
 use crate::json::json_escape;
-use crate::snapshot::{pinned_cases, pinned_faults, CaseSpec, QueueSelection};
+use crate::snapshot::{pinned_cases, pinned_faults, CaseSpec};
 
 /// Repetitions per configuration in standard mode.
 pub const DEFAULT_REPS: u64 = 5;
@@ -47,26 +46,18 @@ pub const QUICK_REPS: u64 = 2;
 pub struct AuditOptions {
     /// Seeds per (case, configuration) pair.
     pub reps: u64,
-    /// Event-queue backends to cross-check.
-    pub queue: QueueSelection,
 }
 
 impl Default for AuditOptions {
     fn default() -> Self {
-        AuditOptions {
-            reps: DEFAULT_REPS,
-            queue: QueueSelection::Both,
-        }
+        AuditOptions { reps: DEFAULT_REPS }
     }
 }
 
 impl AuditOptions {
-    /// The CI smoke configuration: [`QUICK_REPS`] seeds, both backends.
+    /// The CI smoke configuration: [`QUICK_REPS`] seeds.
     pub fn quick() -> Self {
-        AuditOptions {
-            reps: QUICK_REPS,
-            queue: QueueSelection::Both,
-        }
+        AuditOptions { reps: QUICK_REPS }
     }
 }
 
@@ -78,7 +69,7 @@ pub enum FindingKind {
     Divergence,
     /// The streaming invariant checker flagged the run.
     Invariant,
-    /// The post-hoc trace validator disagreed with a `Full`-mode run.
+    /// A `Full`-mode run's stored trace did not replay clean.
     TraceViolation,
     /// The planner's oracle does not account for the workload it was given.
     OracleAccounting,
@@ -117,8 +108,8 @@ impl fmt::Display for FindingKind {
 pub struct AuditFinding {
     /// Pinned case name (`<platform>/<scheduler>/<fault regime>`).
     pub case: String,
-    /// Configuration label (`<queue>/<trace mode>/<fresh|proto>`, or
-    /// `oracle` for analytic findings).
+    /// Configuration label (`<trace mode>/<fresh|proto>`, or `oracle` for
+    /// analytic findings).
     pub config: String,
     /// Seed of the offending run (0 for per-case findings).
     pub seed: u64,
@@ -143,7 +134,7 @@ impl fmt::Display for AuditFinding {
 pub struct AuditReport {
     /// Pinned cases audited.
     pub cases: usize,
-    /// Configurations per case (queue × trace mode × fresh/proto).
+    /// Configurations per case (trace mode × fresh/proto).
     pub configs_per_case: usize,
     /// Seeds per configuration.
     pub reps: u64,
@@ -269,7 +260,7 @@ impl Signature {
     }
 }
 
-fn config_for(spec: &CaseSpec, backend: QueueBackend, mode: TraceMode) -> SimConfig {
+fn config_for(spec: &CaseSpec, mode: TraceMode) -> SimConfig {
     SimConfig {
         trace_mode: mode,
         faults: if spec.faulty {
@@ -277,7 +268,6 @@ fn config_for(spec: &CaseSpec, backend: QueueBackend, mode: TraceMode) -> SimCon
         } else {
             FaultModel::None
         },
-        queue_backend: backend,
         audit: true,
         ..SimConfig::default()
     }
@@ -285,14 +275,8 @@ fn config_for(spec: &CaseSpec, backend: QueueBackend, mode: TraceMode) -> SimCon
 
 /// Run one case under one configuration for one seed, fresh or via a
 /// prototype clone. Returns `Err(detail)` on a run failure.
-fn run_one(
-    spec: &CaseSpec,
-    backend: QueueBackend,
-    mode: TraceMode,
-    proto: bool,
-    seed: u64,
-) -> Result<SimResult, String> {
-    let config = config_for(spec, backend, mode);
+fn run_one(spec: &CaseSpec, mode: TraceMode, proto: bool, seed: u64) -> Result<SimResult, String> {
+    let config = config_for(spec, mode);
     let mut runner = spec.scenario.runner(config.clone());
     let mut run = RunSpec::new(spec.kind).seed(seed).config(config);
     if spec.faulty {
@@ -313,30 +297,23 @@ fn mode_label(mode: TraceMode) -> &'static str {
     }
 }
 
-fn backend_label(backend: QueueBackend) -> &'static str {
-    match backend {
-        QueueBackend::Heap => "heap",
-        QueueBackend::Calendar => "calendar",
-    }
-}
-
 /// Audit one case: reference sweep, differential cross-product, invariant
 /// findings, trace cross-check. Appends findings; returns runs executed.
 fn audit_case(spec: &CaseSpec, options: &AuditOptions, findings: &mut Vec<AuditFinding>) -> u64 {
     let mut runs = 0u64;
-    // Reference: heap / Off / fresh.
+    // Reference: Off / fresh.
     let mut reference = Vec::with_capacity(options.reps as usize);
     for seed in 0..options.reps {
-        match run_one(spec, QueueBackend::Heap, TraceMode::Off, false, seed) {
+        match run_one(spec, TraceMode::Off, false, seed) {
             Ok(r) => {
                 runs += 1;
-                collect_run_findings(spec, "heap/off/fresh", seed, &r, findings);
+                collect_run_findings(spec, "off/fresh", seed, &r, findings);
                 reference.push(Some(Signature::of(&r)));
             }
             Err(detail) => {
                 findings.push(AuditFinding {
                     case: spec.name.clone(),
-                    config: "heap/off/fresh".into(),
+                    config: "off/fresh".into(),
                     seed,
                     kind: FindingKind::RunFailure,
                     detail,
@@ -346,44 +323,41 @@ fn audit_case(spec: &CaseSpec, options: &AuditOptions, findings: &mut Vec<AuditF
         }
     }
 
-    for &backend in options.queue.backends() {
-        for mode in [TraceMode::Off, TraceMode::MetricsOnly, TraceMode::Full] {
-            for proto in [false, true] {
-                if backend == QueueBackend::Heap && mode == TraceMode::Off && !proto {
-                    continue; // the reference itself
-                }
-                let config = format!(
-                    "{}/{}/{}",
-                    backend_label(backend),
-                    mode_label(mode),
-                    if proto { "proto" } else { "fresh" }
-                );
-                for seed in 0..options.reps {
-                    let r = match run_one(spec, backend, mode, proto, seed) {
-                        Ok(r) => r,
-                        Err(detail) => {
-                            findings.push(AuditFinding {
-                                case: spec.name.clone(),
-                                config: config.clone(),
-                                seed,
-                                kind: FindingKind::RunFailure,
-                                detail,
-                            });
-                            continue;
-                        }
-                    };
-                    runs += 1;
-                    collect_run_findings(spec, &config, seed, &r, findings);
-                    if let Some(Some(reference)) = reference.get(seed as usize) {
-                        if let Some(detail) = Signature::of(&r).first_divergence(reference) {
-                            findings.push(AuditFinding {
-                                case: spec.name.clone(),
-                                config: config.clone(),
-                                seed,
-                                kind: FindingKind::Divergence,
-                                detail,
-                            });
-                        }
+    for mode in [TraceMode::Off, TraceMode::MetricsOnly, TraceMode::Full] {
+        for proto in [false, true] {
+            if mode == TraceMode::Off && !proto {
+                continue; // the reference itself
+            }
+            let config = format!(
+                "{}/{}",
+                mode_label(mode),
+                if proto { "proto" } else { "fresh" }
+            );
+            for seed in 0..options.reps {
+                let r = match run_one(spec, mode, proto, seed) {
+                    Ok(r) => r,
+                    Err(detail) => {
+                        findings.push(AuditFinding {
+                            case: spec.name.clone(),
+                            config: config.clone(),
+                            seed,
+                            kind: FindingKind::RunFailure,
+                            detail,
+                        });
+                        continue;
+                    }
+                };
+                runs += 1;
+                collect_run_findings(spec, &config, seed, &r, findings);
+                if let Some(Some(reference)) = reference.get(seed as usize) {
+                    if let Some(detail) = Signature::of(&r).first_divergence(reference) {
+                        findings.push(AuditFinding {
+                            case: spec.name.clone(),
+                            config: config.clone(),
+                            seed,
+                            kind: FindingKind::Divergence,
+                            detail,
+                        });
                     }
                 }
             }
@@ -393,7 +367,7 @@ fn audit_case(spec: &CaseSpec, options: &AuditOptions, findings: &mut Vec<AuditF
 }
 
 /// Per-run checks shared by every configuration: streaming invariant
-/// findings, and (under `Full`) agreement with the post-hoc validator.
+/// findings, and (under `Full`) a clean replay of the stored trace.
 fn collect_run_findings(
     spec: &CaseSpec,
     config: &str,
@@ -607,7 +581,7 @@ pub fn run_audit(options: &AuditOptions) -> AuditReport {
     }
     AuditReport {
         cases: cases.len(),
-        configs_per_case: options.queue.backends().len() * 3 * 2,
+        configs_per_case: 3 * 2,
         reps: options.reps,
         runs,
         findings,
@@ -644,12 +618,12 @@ mod tests {
     fn report_json_roundtrips_the_shape() {
         let report = AuditReport {
             cases: 16,
-            configs_per_case: 12,
+            configs_per_case: 6,
             reps: 2,
             runs: 100,
             findings: vec![AuditFinding {
                 case: "homogeneous/umr/fault-free".into(),
-                config: "heap/off/fresh".into(),
+                config: "off/fresh".into(),
                 seed: 1,
                 kind: FindingKind::Divergence,
                 detail: "makespan \"x\" vs y".into(),
@@ -675,16 +649,9 @@ mod tests {
             .find(|c| c.name == "homogeneous/umr/fault-free")
             .unwrap();
         let mut findings = Vec::new();
-        let runs = audit_case(
-            spec,
-            &AuditOptions {
-                reps: 1,
-                queue: QueueSelection::Heap,
-            },
-            &mut findings,
-        );
+        let runs = audit_case(spec, &AuditOptions { reps: 1 }, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(runs, 1 + 5); // reference + (heap × 3 modes × 2 builds − reference)
+        assert_eq!(runs, 1 + 5); // reference + (3 modes × 2 builds − reference)
         audit_oracle(spec, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
@@ -697,14 +664,7 @@ mod tests {
             .find(|c| c.name == "homogeneous/factoring/faulty")
             .unwrap();
         let mut findings = Vec::new();
-        audit_case(
-            spec,
-            &AuditOptions {
-                reps: 1,
-                queue: QueueSelection::Heap,
-            },
-            &mut findings,
-        );
+        audit_case(spec, &AuditOptions { reps: 1 }, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -712,7 +672,7 @@ mod tests {
     fn finding_display_is_informative() {
         let f = AuditFinding {
             case: "c".into(),
-            config: "heap/off/fresh".into(),
+            config: "off/fresh".into(),
             seed: 3,
             kind: FindingKind::OracleResidual,
             detail: "d".into(),

@@ -10,16 +10,14 @@
 //!
 //! * `--reps N`     seeds per (case, configuration) pair (default 5)
 //! * `--quick`      CI smoke budget (2 seeds per pair)
-//! * `--queue Q`    heap | calendar | both — event-queue backends to
-//!   cross-check against the heap/Off/fresh reference (default both)
 //! * `--out PATH`   also write the JSON report to PATH
 
 use std::path::PathBuf;
 use std::process::exit;
 
-use dls_experiments::{run_audit, AuditOptions, QueueSelection};
+use dls_experiments::{run_audit, AuditOptions};
 
-const USAGE: &str = "usage: audit [--reps N] [--quick] [--queue heap|calendar|both] [--out PATH]";
+const USAGE: &str = "usage: audit [--reps N] [--quick] [--out PATH]";
 
 struct Options {
     audit: AuditOptions,
@@ -46,16 +44,7 @@ fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, Stri
                     return Err("--reps must be positive".into());
                 }
             }
-            "--quick" => {
-                let queue = opts.audit.queue;
-                opts.audit = AuditOptions::quick();
-                opts.audit.queue = queue;
-            }
-            "--queue" => {
-                let v = value("--queue")?;
-                opts.audit.queue = QueueSelection::parse(&v)
-                    .ok_or_else(|| format!("unknown queue selection '{v}'\n{USAGE}"))?;
-            }
+            "--quick" => opts.audit = AuditOptions::quick(),
             "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -10,8 +10,6 @@
 //! * `--out PATH`   output path (default `BENCH_sim.json`)
 //! * `--reps N`     timed repetitions per engine case (default 200)
 //! * `--quick`      reduced CI budget (10 case reps, 2 sweep reps)
-//! * `--queue Q`    heap | calendar | both — event-queue backends to
-//!   measure (default both; each selected backend gets its own case rows)
 //! * `--check PATH` validate an existing snapshot file and exit
 //! * `--min-speedup X`  exit non-zero unless the Off-vs-Full sweep
 //!   speedup is at least `X` (timing gate, off by default)
@@ -23,12 +21,11 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use dls_experiments::{
-    batched_speedup_from_json, run_snapshot, validate_snapshot_json, QueueSelection, SnapshotConfig,
+    batched_speedup_from_json, run_snapshot, validate_snapshot_json, SnapshotConfig,
 };
 
 const USAGE: &str = "usage: bench_snapshot [--out PATH] [--reps N] [--quick] \
-                     [--queue heap|calendar|both] [--min-speedup X] \
-                     [--assert-batched-speedup X] [--check PATH]";
+                     [--min-speedup X] [--assert-batched-speedup X] [--check PATH]";
 
 struct Options {
     out: PathBuf,
@@ -62,16 +59,7 @@ fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, Stri
                     return Err("--reps must be positive".into());
                 }
             }
-            "--quick" => {
-                let queues = opts.config.queues;
-                opts.config = SnapshotConfig::quick();
-                opts.config.queues = queues;
-            }
-            "--queue" => {
-                let v = value("--queue")?;
-                opts.config.queues = QueueSelection::parse(&v)
-                    .ok_or_else(|| format!("unknown queue selection '{v}'\n{USAGE}"))?;
-            }
+            "--quick" => opts.config = SnapshotConfig::quick(),
             "--check" => opts.check = Some(PathBuf::from(value("--check")?)),
             "--min-speedup" => {
                 opts.min_speedup = Some(
@@ -141,7 +129,7 @@ fn main() {
     let mut fastest = (f64::INFINITY, String::new());
     let mut slowest = (0.0f64, String::new());
     for case in &snapshot.cases {
-        let label = format!("{} [{}]", case.name, case.queue.name());
+        let label = format!("{} [{}]", case.name, case.mode.name());
         if case.ns_per_event < fastest.0 {
             fastest = (case.ns_per_event, label.clone());
         }

@@ -14,8 +14,7 @@
 //! ```
 //!
 //! Exits non-zero on any audit finding, any incomplete job, or any
-//! stretch below 1. `--queue heap|calendar` selects the event-queue
-//! backend (CI runs both); `--csv PATH` dumps one fairness row per cell.
+//! stretch below 1. `--csv PATH` dumps one fairness row per cell.
 
 use std::fmt::Write as _;
 use std::process::exit;
@@ -63,10 +62,9 @@ fn main() {
     // --full is detected by the grid the flag selected.
     let full = opts.sweep.grid.len() > Table1Grid::quick().len();
     let seed = opts.sweep.root_seed;
-    let queue = opts.sweep.queue_backend;
 
     let mut csv = String::from(
-        "scenario,arrivals,policy,queue,jobs,completed_jobs,makespan,\
+        "scenario,arrivals,policy,jobs,completed_jobs,makespan,\
          max_stretch,mean_stretch,jain_index,audit_findings\n",
     );
     let mut table = format!(
@@ -83,7 +81,6 @@ fn main() {
                 let config = SimConfig {
                     trace_mode: TraceMode::Full,
                     audit: true,
-                    queue_backend: queue,
                     ..Default::default()
                 };
                 let spec = MultiRunSpec::from_job_set(&set, SchedulerKind::Factoring, policy)
@@ -93,9 +90,8 @@ fn main() {
                     Ok(r) => r,
                     Err(e) => {
                         eprintln!(
-                            "RUN FAILED: {scenario_name}/{family}/{} on {}: {e}",
-                            policy.label(),
-                            queue.name()
+                            "RUN FAILED: {scenario_name}/{family}/{}: {e}",
+                            policy.label()
                         );
                         violations += 1;
                         continue;
@@ -164,9 +160,8 @@ fn main() {
                 let f = &result.fairness;
                 let _ = writeln!(
                     csv,
-                    "{scenario_name},{family},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{audit_findings}",
+                    "{scenario_name},{family},{},{},{},{:.6},{:.6},{:.6},{:.6},{audit_findings}",
                     policy.label(),
-                    queue.name(),
                     result.jobs.len(),
                     f.completed_jobs,
                     result.sim.makespan,
@@ -188,10 +183,7 @@ fn main() {
         }
     }
 
-    println!(
-        "multi-load sweep ({} backend, {cells} cells):\n\n{table}",
-        queue.name()
-    );
+    println!("multi-load sweep ({cells} cells):\n\n{table}");
     if let Some(path) = &opts.csv {
         write_file(path, &csv).expect("write CSV");
         eprintln!("wrote {}", path.display());

@@ -10,7 +10,6 @@
 //! --seed N         root seed (default fixed, runs are reproducible)
 //! --threads N      worker threads (default: all cores)
 //! --model M        normal | uniform | inverse
-//! --queue Q        heap | calendar (event-queue backend; default calendar)
 //! --speeds SPEC    declared | stochastic:SPREAD[:SEED] |
 //!                  sandbag:FRACTION:SLOWDOWN[:SEED] |
 //!                  adversarial:FRACTION:SLOWDOWN (speed-revelation model)
@@ -21,7 +20,7 @@
 
 use std::path::PathBuf;
 
-use rumr::{QueueBackend, RunSpec, SpeedModel};
+use rumr::{RunSpec, SpeedModel};
 
 use crate::grid::error_values;
 use crate::sweep::{ErrorModelKind, SweepConfig};
@@ -49,15 +48,14 @@ impl CliOptions {
     }
 
     /// Apply the flags that describe a single run to a [`RunSpec`]: the
-    /// root seed, the queue backend, and — only when the user passed an
-    /// explicit `--reps` — the repetition count, so a bin's own default
-    /// (set on the spec beforehand via [`RunSpec::reps`]) survives.
+    /// root seed and — only when the user passed an explicit `--reps` —
+    /// the repetition count, so a bin's own default (set on the spec
+    /// beforehand via [`RunSpec::reps`]) survives.
     ///
-    /// This replaces the hand-threaded `reps_or(...)` / `sweep.root_seed` /
-    /// `sweep.queue_backend` plumbing in the binaries.
+    /// This replaces the hand-threaded `reps_or(...)` / `sweep.root_seed`
+    /// plumbing in the binaries.
     pub fn apply_to(&self, spec: &mut RunSpec) {
         spec.seed = self.sweep.root_seed;
-        spec.config.queue_backend = self.sweep.queue_backend;
         if let Some(reps) = self.explicit_reps {
             spec.reps = reps;
         }
@@ -77,7 +75,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
     let mut seed: Option<u64> = None;
     let mut threads: Option<usize> = None;
     let mut model: Option<ErrorModelKind> = None;
-    let mut queue: Option<QueueBackend> = None;
     let mut speeds: Option<SpeedModel> = None;
     let mut csv: Option<PathBuf> = None;
     let mut quiet = false;
@@ -130,13 +127,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                     other => return Err(format!("unknown model '{other}'")),
                 })
             }
-            "--queue" => {
-                let v = value_for("--queue")?;
-                queue = Some(
-                    QueueBackend::parse(&v)
-                        .ok_or_else(|| format!("unknown queue backend '{v}'"))?,
-                )
-            }
             "--speeds" => {
                 let v = value_for("--speeds")?;
                 speeds = Some(
@@ -173,9 +163,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
     if let Some(m) = model {
         sweep.model = m;
     }
-    if let Some(q) = queue {
-        sweep.queue_backend = q;
-    }
     if let Some(s) = speeds {
         sweep.speeds = s;
     }
@@ -195,7 +182,7 @@ pub fn parse_env() -> Result<CliOptions, String> {
 
 /// Usage string shared by the binaries.
 pub const USAGE: &str = "flags: [--full|--quick] [--reps N] [--error-step S] [--seed N] \
-[--threads N] [--model normal|uniform|inverse] [--queue heap|calendar] \
+[--threads N] [--model normal|uniform|inverse] \
 [--speeds declared|stochastic:S[:SEED]|sandbag:F:S[:SEED]|adversarial:F:S] [--csv PATH] [--quiet]";
 
 #[cfg(test)]
@@ -211,7 +198,6 @@ mod tests {
         let o = parse(&[]).unwrap();
         assert_eq!(o.sweep.reps, 10);
         assert_eq!(o.sweep.grid.len(), 144);
-        assert_eq!(o.sweep.queue_backend, QueueBackend::Calendar);
         assert!(o.csv.is_none());
     }
 
@@ -234,8 +220,6 @@ mod tests {
             "2",
             "--model",
             "uniform",
-            "--queue",
-            "heap",
             "--csv",
             "/tmp/x.csv",
             "--error-step",
@@ -247,7 +231,6 @@ mod tests {
         assert_eq!(o.sweep.root_seed, 9);
         assert_eq!(o.sweep.threads, 2);
         assert_eq!(o.sweep.model, ErrorModelKind::Uniform);
-        assert_eq!(o.sweep.queue_backend, QueueBackend::Heap);
         assert_eq!(o.csv.unwrap().to_str().unwrap(), "/tmp/x.csv");
         assert_eq!(o.sweep.errors.len(), 6);
         assert!(!o.sweep.progress);
@@ -268,12 +251,11 @@ mod tests {
     #[test]
     fn apply_to_folds_flags_into_spec() {
         use rumr::SchedulerKind;
-        let o = parse(&["--seed", "9", "--queue", "heap"]).unwrap();
+        let o = parse(&["--seed", "9"]).unwrap();
         let mut spec = RunSpec::new(SchedulerKind::Umr).reps(7);
         o.apply_to(&mut spec);
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.reps, 7, "bin default survives without --reps");
-        assert_eq!(spec.config.queue_backend, QueueBackend::Heap);
 
         let o = parse(&["--reps", "3"]).unwrap();
         o.apply_to(&mut spec);
@@ -313,7 +295,7 @@ mod tests {
         assert!(parse(&["--reps", "zero"]).is_err());
         assert!(parse(&["--reps", "0"]).is_err());
         assert!(parse(&["--model", "weird"]).is_err());
-        assert!(parse(&["--queue", "ladder"]).is_err());
+        assert!(parse(&["--queue", "heap"]).is_err());
         assert!(parse(&["--error-step", "0"]).is_err());
         assert!(parse(&["--help"]).is_err());
     }

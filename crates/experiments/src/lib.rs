@@ -40,8 +40,7 @@ pub use report::{render_series, render_win_rate, series_csv, win_rate_csv, write
 pub use snapshot::{
     batched_speedup_from_json, pinned_cases, pinned_fastpath_cases, pinned_faults,
     pinned_speed_profiles, run_snapshot, validate_snapshot_json, CaseMode, CaseResult, CaseSpec,
-    FastPathRow, QueueSelection, Snapshot, SnapshotConfig, SpeedRobustRow, SweepComparison,
-    SCHEMA_VERSION,
+    FastPathRow, Snapshot, SnapshotConfig, SpeedRobustRow, SweepComparison, SCHEMA_VERSION,
 };
 pub use sweep::{
     paper_competitors, run_sweep, Cell, Competitor, ErrorModelKind, SweepConfig, SweepResult,

@@ -19,8 +19,8 @@
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use rumr::{
-    FastPath, FaultModel, PoissonFaults, QueueBackend, RecoveryConfig, RepColumns, RumrConfig,
-    RunSpec, Scenario, SchedulerKind, SimConfig, SpeedModel, TraceMode,
+    FastPath, FaultModel, PoissonFaults, RecoveryConfig, RepColumns, RumrConfig, RunSpec, Scenario,
+    SchedulerKind, SimConfig, SpeedModel, TraceMode,
 };
 
 use crate::grid::Table1Grid;
@@ -30,47 +30,15 @@ use crate::sweep::{run_sweep, Competitor, ErrorModelKind, SweepConfig};
 /// Version of the `BENCH_sim.json` schema this module writes.
 /// [`validate_snapshot_json`] still accepts version-1 documents (which
 /// predate the `queue` case field and the `sweep_threads` machine field),
-/// version-2 documents (which predate the `speed_robust` section) and
+/// version-2 documents (which predate the `speed_robust` section),
 /// version-3 documents (which predate the per-case `mode` field and the
-/// `fastpath` section).
-pub const SCHEMA_VERSION: u64 = 4;
+/// `fastpath` section) and version-4 documents (whose cases still name
+/// the event-queue backend they ran on; version 5 dropped that field when
+/// the engine kept a single queue).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Error magnitude used by every pinned case.
 const CASE_ERROR: f64 = 0.3;
-
-/// Which event-queue backends a snapshot measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueSelection {
-    /// Binary-heap backend only.
-    Heap,
-    /// Calendar-queue backend only.
-    Calendar,
-    /// Both backends, heap first (the default: per-backend rows make the
-    /// snapshot self-contained for backend comparisons).
-    #[default]
-    Both,
-}
-
-impl QueueSelection {
-    /// Parse `heap` / `calendar` / `both`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" => Some(QueueSelection::Heap),
-            "calendar" => Some(QueueSelection::Calendar),
-            "both" => Some(QueueSelection::Both),
-            _ => None,
-        }
-    }
-
-    /// The concrete backends to measure, in snapshot row order.
-    pub fn backends(self) -> &'static [QueueBackend] {
-        match self {
-            QueueSelection::Heap => &[QueueBackend::Heap],
-            QueueSelection::Calendar => &[QueueBackend::Calendar],
-            QueueSelection::Both => &[QueueBackend::Heap, QueueBackend::Calendar],
-        }
-    }
-}
 
 /// How much work each part of the snapshot does.
 #[derive(Debug, Clone, Copy)]
@@ -79,8 +47,6 @@ pub struct SnapshotConfig {
     pub case_reps: u64,
     /// Repetitions per cell in the Off-vs-Full sweep comparison.
     pub sweep_reps: u64,
-    /// Event-queue backends to measure.
-    pub queues: QueueSelection,
 }
 
 impl SnapshotConfig {
@@ -89,7 +55,6 @@ impl SnapshotConfig {
         SnapshotConfig {
             case_reps: 200,
             sweep_reps: 40,
-            queues: QueueSelection::Both,
         }
     }
 
@@ -98,7 +63,6 @@ impl SnapshotConfig {
         SnapshotConfig {
             case_reps: 10,
             sweep_reps: 2,
-            queues: QueueSelection::Both,
         }
     }
 }
@@ -139,8 +103,6 @@ impl CaseMode {
 pub struct CaseResult {
     /// Case label, `<platform>/<scheduler>/<faults>`.
     pub name: String,
-    /// Event-queue backend the case ran on.
-    pub queue: QueueBackend,
     /// Repetition strategy the case ran under.
     pub mode: CaseMode,
     /// Timed repetitions.
@@ -197,7 +159,7 @@ pub struct Snapshot {
     /// Peak resident set size of the process, bytes (`VmHWM`; 0 where
     /// `/proc` is unavailable).
     pub peak_rss_bytes: u64,
-    /// Per-case engine throughput, one row per (backend, mode, case).
+    /// Per-case engine throughput, one row per (mode, case).
     pub cases: Vec<CaseResult>,
     /// Fast-path-vs-engine throughput on the pinned error-free cases.
     pub fastpath: Vec<FastPathRow>,
@@ -337,7 +299,6 @@ pub fn snapshot_sweep_config(reps: u64, trace_mode: TraceMode) -> SweepConfig {
         w_total: 1000.0,
         progress: false,
         trace_mode,
-        queue_backend: QueueBackend::default(),
         speeds: SpeedModel::Declared,
         audit: false,
     }
@@ -427,9 +388,8 @@ fn measure_speed_robust(reps: u64) -> Vec<SpeedRobustRow> {
     rows
 }
 
-/// The [`RunSpec`] of one pinned case on one backend (before the
-/// prototype is attached).
-fn case_run_spec(spec: &CaseSpec, backend: QueueBackend) -> RunSpec {
+/// The [`RunSpec`] of one pinned case (before the prototype is attached).
+fn case_run_spec(spec: &CaseSpec) -> RunSpec {
     let config = SimConfig {
         trace_mode: TraceMode::Off,
         faults: if spec.faulty {
@@ -437,7 +397,6 @@ fn case_run_spec(spec: &CaseSpec, backend: QueueBackend) -> RunSpec {
         } else {
             FaultModel::None
         },
-        queue_backend: backend,
         ..SimConfig::default()
     };
     let mut run = RunSpec::new(spec.kind).config(config);
@@ -447,8 +406,8 @@ fn case_run_spec(spec: &CaseSpec, backend: QueueBackend) -> RunSpec {
     run
 }
 
-fn measure_case(spec: &CaseSpec, reps: u64, backend: QueueBackend, mode: CaseMode) -> CaseResult {
-    let run_spec = case_run_spec(spec, backend);
+fn measure_case(spec: &CaseSpec, reps: u64, mode: CaseMode) -> CaseResult {
+    let run_spec = case_run_spec(spec);
     let mut runner = spec.scenario.runner(run_spec.config.clone());
     // Both modes stamp repetitions out of one pre-planned prototype, so
     // the timed loops compare engine throughput, not planner cost.
@@ -516,7 +475,6 @@ fn measure_case(spec: &CaseSpec, reps: u64, backend: QueueBackend, mode: CaseMod
     }
     CaseResult {
         name: spec.name.to_string(),
-        queue: backend,
         mode,
         runs: reps,
         events,
@@ -647,18 +605,14 @@ fn measure_sweep(reps: u64) -> SweepComparison {
 }
 
 /// Run the full pinned suite and assemble a [`Snapshot`]. Cases are
-/// measured once per selected backend and repetition mode, grouped
-/// backend-major then mode-major (all 16 pinned cases sequential, then
-/// all 16 batched, per backend; 64 rows with the default
-/// [`QueueSelection::Both`]).
+/// measured once per repetition mode, grouped mode-major (all 16 pinned
+/// cases sequential, then all 16 batched: 32 rows).
 pub fn run_snapshot(config: SnapshotConfig) -> Snapshot {
     let specs = pinned_cases();
     let mut cases = Vec::new();
-    for &backend in config.queues.backends() {
-        for mode in [CaseMode::Sequential, CaseMode::Batched] {
-            for spec in &specs {
-                cases.push(measure_case(spec, config.case_reps, backend, mode));
-            }
+    for mode in [CaseMode::Sequential, CaseMode::Batched] {
+        for spec in &specs {
+            cases.push(measure_case(spec, config.case_reps, mode));
         }
     }
     let fastpath = measure_fastpath(config.case_reps);
@@ -745,11 +699,10 @@ impl Snapshot {
         s.push_str("  \"cases\": [\n");
         for (i, c) in self.cases.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"queue\": \"{}\", \"mode\": \"{}\", \"runs\": {}, \
-                 \"events\": {}, \"wall_s\": {}, \"ns_per_event\": {}, \"runs_per_sec\": {}, \
+                "    {{\"name\": \"{}\", \"mode\": \"{}\", \"runs\": {}, \"events\": {}, \
+                 \"wall_s\": {}, \"ns_per_event\": {}, \"runs_per_sec\": {}, \
                  \"mean_makespan\": {}}}{}\n",
                 json_escape(&c.name),
-                c.queue.name(),
                 c.mode.name(),
                 c.runs,
                 c.events,
@@ -835,16 +788,16 @@ fn require_str<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, Strin
 /// Checks structure and value sanity (positive timings, non-empty case
 /// list), not timing thresholds.
 ///
-/// Accepts the current version-4 schema and the legacy versions 1
-/// (pre-`queue`/`sweep_threads`), 2 (pre-`speed_robust`) and 3
-/// (pre-`mode`/`fastpath`), so tooling can still check committed
-/// historical snapshots.
+/// Accepts the current version-5 schema and the legacy versions 1
+/// (pre-`queue`/`sweep_threads`), 2 (pre-`speed_robust`), 3
+/// (pre-`mode`/`fastpath`) and 4 (with the per-case `queue` field), so
+/// tooling can still check committed historical snapshots.
 pub fn validate_snapshot_json(text: &str) -> Result<(), String> {
     let doc = parse_json(text)?;
     let version = require_num(&doc, "schema_version", "root")?;
-    if version != 1.0 && version != 2.0 && version != 3.0 && version != SCHEMA_VERSION as f64 {
+    if ![1.0, 2.0, 3.0, 4.0, SCHEMA_VERSION as f64].contains(&version) {
         return Err(format!(
-            "unsupported schema_version {version} (expected 1, 2, 3 or {SCHEMA_VERSION})"
+            "unsupported schema_version {version} (expected 1 to {SCHEMA_VERSION})"
         ));
     }
     let v2 = version >= 2.0;
@@ -883,9 +836,9 @@ pub fn validate_snapshot_json(text: &str) -> Result<(), String> {
         if name.split('/').count() != 3 {
             return Err(format!("{ctx}: name '{name}' is not platform/sched/faults"));
         }
-        if v2 {
+        if v2 && version < 5.0 {
             let queue = require_str(case, "queue", &ctx)?;
-            if QueueBackend::parse(queue).is_none() {
+            if !matches!(queue, "heap" | "calendar") {
                 return Err(format!("{ctx}: unknown queue backend '{queue}'"));
             }
         }
@@ -1012,7 +965,6 @@ mod tests {
             peak_rss_bytes: 1024,
             cases: vec![CaseResult {
                 name: "homogeneous/umr/fault-free".into(),
-                queue: QueueBackend::Calendar,
                 mode: CaseMode::Sequential,
                 runs: 3,
                 events: 900,
@@ -1043,6 +995,11 @@ mod tests {
                 speedup: 2.5,
             },
         }
+    }
+
+    /// `json` as a pre-v5 writer emitted it: every case names its queue.
+    fn with_queue(json: &str) -> String {
+        json.replace("\"mode\": ", "\"queue\": \"calendar\", \"mode\": ")
     }
 
     #[test]
@@ -1133,20 +1090,24 @@ mod tests {
         let mut snap = dummy_snapshot();
         snap.schema_version = 2;
         snap.speed_robust.clear();
-        validate_snapshot_json(&snap.to_json()).expect("v2 must stay parseable");
+        validate_snapshot_json(&with_queue(&snap.to_json())).expect("v2 must stay parseable");
         // A v3 document: speed_robust required, mode/fastpath not yet
         // (both are present in the emitted text and ignored as extras).
         let mut snap = dummy_snapshot();
         snap.schema_version = 3;
-        validate_snapshot_json(&snap.to_json()).expect("v3 must stay parseable");
+        validate_snapshot_json(&with_queue(&snap.to_json())).expect("v3 must stay parseable");
+        // A v4 document: per-case queue, mode and fastpath.
+        let mut snap = dummy_snapshot();
+        snap.schema_version = 4;
+        let v4 = with_queue(&snap.to_json());
+        validate_snapshot_json(&v4).expect("v4 must stay parseable");
+        validate_snapshot_json(&v4.replace("\"calendar\"", "\"heap\""))
+            .expect("v4 heap rows must stay parseable");
         // But v1 rules still apply to v1 documents.
         assert!(validate_snapshot_json(&v1.replace("\"cpus\": 4", "\"cpus\": 0")).is_err());
-        // And v2 requires the queue field.
-        let snap = dummy_snapshot();
-        let missing_queue = snap.to_json().replace("\"queue\": \"calendar\", ", "");
-        assert!(validate_snapshot_json(&missing_queue).is_err());
-        let bad_queue = snap.to_json().replace("\"calendar\"", "\"ladder\"");
-        assert!(validate_snapshot_json(&bad_queue).is_err());
+        // And v2 to v4 require a known queue field.
+        assert!(validate_snapshot_json(&snap.to_json()).is_err());
+        assert!(validate_snapshot_json(&v4.replace("\"calendar\"", "\"ladder\"")).is_err());
     }
 
     #[test]
@@ -1171,55 +1132,27 @@ mod tests {
         let snap = run_snapshot(SnapshotConfig {
             case_reps: 2,
             sweep_reps: 1,
-            queues: QueueSelection::Both,
         });
-        assert_eq!(
-            snap.cases.len(),
-            64,
-            "16 pinned cases x 2 backends x 2 modes"
-        );
+        assert_eq!(snap.cases.len(), 32, "16 pinned cases x 2 modes");
         for case in &snap.cases {
             assert!(case.events > 0, "{}: no events recorded", case.name);
             assert!(case.mean_makespan > 0.0);
         }
         assert_eq!(snap.sweep_threads, 1, "pinned sweep is single-threaded");
-        // The two backends must agree bit-for-bit on every pinned
-        // (case, mode) row: same event counts, same mean makespans.
-        let (heap, cal) = snap.cases.split_at(32);
-        for (h, c) in heap.iter().zip(cal) {
-            assert_eq!(h.name, c.name);
-            assert_eq!(h.mode, c.mode);
-            assert_eq!(h.queue, QueueBackend::Heap);
-            assert_eq!(c.queue, QueueBackend::Calendar);
+        // The batched pass must reproduce the sequential loop bit-for-bit
+        // (the engine-path contract of the batched repetition API).
+        let (seq, bat) = snap.cases.split_at(16);
+        for (s, b) in seq.iter().zip(bat) {
+            assert_eq!(s.name, b.name);
+            assert_eq!(s.mode, CaseMode::Sequential);
+            assert_eq!(b.mode, CaseMode::Batched);
+            assert_eq!(s.events, b.events, "{}: modes disagree on events", s.name);
             assert_eq!(
-                h.events, c.events,
-                "{}: backends disagree on events",
-                h.name
+                s.mean_makespan.to_bits(),
+                b.mean_makespan.to_bits(),
+                "{}: modes disagree on makespan",
+                s.name
             );
-            assert_eq!(
-                h.mean_makespan.to_bits(),
-                c.mean_makespan.to_bits(),
-                "{}: backends disagree on makespan",
-                h.name
-            );
-        }
-        // And within each backend, the batched pass must reproduce the
-        // sequential loop bit-for-bit (the engine-path contract of the
-        // batched repetition API).
-        for backend_block in snap.cases.chunks(32) {
-            let (seq, bat) = backend_block.split_at(16);
-            for (s, b) in seq.iter().zip(bat) {
-                assert_eq!(s.name, b.name);
-                assert_eq!(s.mode, CaseMode::Sequential);
-                assert_eq!(b.mode, CaseMode::Batched);
-                assert_eq!(s.events, b.events, "{}: modes disagree on events", s.name);
-                assert_eq!(
-                    s.mean_makespan.to_bits(),
-                    b.mean_makespan.to_bits(),
-                    "{}: modes disagree on makespan",
-                    s.name
-                );
-            }
         }
         assert_eq!(snap.fastpath.len(), 3, "3 pinned fast-path cases");
         for row in &snap.fastpath {
@@ -1260,21 +1193,5 @@ mod tests {
         assert!((speedup - 2.0).abs() < 1e-9, "got {speedup}");
         // A document with only sequential rows has nothing to compare.
         assert!(batched_speedup_from_json(&dummy_snapshot().to_json()).is_err());
-    }
-
-    #[test]
-    fn queue_selection_parse_and_backends() {
-        assert_eq!(QueueSelection::parse("heap"), Some(QueueSelection::Heap));
-        assert_eq!(
-            QueueSelection::parse("calendar"),
-            Some(QueueSelection::Calendar)
-        );
-        assert_eq!(QueueSelection::parse("both"), Some(QueueSelection::Both));
-        assert_eq!(QueueSelection::parse("ladder"), None);
-        assert_eq!(QueueSelection::Heap.backends(), &[QueueBackend::Heap]);
-        assert_eq!(
-            QueueSelection::Both.backends(),
-            &[QueueBackend::Heap, QueueBackend::Calendar]
-        );
     }
 }

@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use dls_numerics::rng::SeedDeriver;
 use dls_sim::ErrorModel;
 use rumr::{
-    QueueBackend, RumrConfig, RunSpec, Scenario, ScenarioRunner, SchedulerKind, SchedulerPrototype,
-    SimConfig, SpeedModel, TraceMetrics, TraceMode,
+    RumrConfig, RunSpec, Scenario, ScenarioRunner, SchedulerKind, SchedulerPrototype, SimConfig,
+    SpeedModel, TraceMetrics, TraceMode,
 };
 
 use crate::grid::{GridPoint, Table1Grid};
@@ -175,9 +175,6 @@ pub struct SweepConfig {
     /// complete event trace is recorded, validated against the engine's
     /// protocol invariants, and distilled into [`TraceMetrics`] per run.
     pub trace_mode: TraceMode,
-    /// Event-queue backend for every engine the sweep builds. Results are
-    /// bit-identical across backends; this only changes performance.
-    pub queue_backend: QueueBackend,
     /// Declared-vs-realized speed model applied to every run. With an
     /// active model each cell also aggregates per-competitor robustness
     /// ratios ([`Cell::robustness`]) against clairvoyant twins.
@@ -200,7 +197,6 @@ impl SweepConfig {
             w_total: 1000.0,
             progress: false,
             trace_mode: TraceMode::Off,
-            queue_backend: QueueBackend::default(),
             speeds: SpeedModel::Declared,
             audit: false,
         }
@@ -299,7 +295,6 @@ pub fn run_sweep(config: &SweepConfig, competitors: &[Competitor]) -> SweepResul
         .collect();
     let sim_config = SimConfig {
         trace_mode: config.trace_mode,
-        queue_backend: config.queue_backend,
         speeds: config.speeds,
         audit: config.audit,
         ..SimConfig::default()
@@ -586,7 +581,6 @@ mod tests {
             w_total: 1000.0,
             progress: false,
             trace_mode: TraceMode::Off,
-            queue_backend: QueueBackend::default(),
             speeds: SpeedModel::Declared,
             audit: false,
         }
@@ -656,18 +650,6 @@ mod tests {
                     assert!(u > 0.0 && u <= 1.0 + 1e-9, "bad utilization {u}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn queue_backends_agree_bit_for_bit() {
-        let comps = vec![Competitor::RumrKnown, Competitor::Factoring];
-        let calendar = run_sweep(&tiny_config(), &comps);
-        let mut cfg = tiny_config();
-        cfg.queue_backend = QueueBackend::Heap;
-        let heap = run_sweep(&cfg, &comps);
-        for (a, b) in calendar.cells.iter().zip(&heap.cells) {
-            assert_eq!(a.means, b.means, "queue backend changed results");
         }
     }
 

@@ -15,8 +15,8 @@ use dls_experiments::json::{parse_json, Json};
 use rumr::sim::FaultAction;
 use rumr::{
     ErrorModel, FaultModel, FaultPlan, HomogeneousParams, MultiJob, MultiPolicy, MultiRunSpec,
-    Platform, PoissonFaults, QueueBackend, RecoveryConfig, RumrConfig, RunSpec, Scenario,
-    SchedulerKind, SimConfig, SpeedModel, TraceMode, WorkerSpec,
+    Platform, PoissonFaults, RecoveryConfig, RumrConfig, RunSpec, Scenario, SchedulerKind,
+    SimConfig, SpeedModel, TraceMode, WorkerSpec,
 };
 
 /// A request the codec rejected, with a human-readable reason (the server
@@ -561,7 +561,6 @@ pub fn encode_sim_config(c: &SimConfig) -> Json {
         ("uplink_capacity", opt_json_num(c.uplink_capacity)),
         ("output_ratio", Json::Num(c.output_ratio)),
         ("faults", encode_fault_model(&c.faults)),
-        ("queue", Json::Str(c.queue_backend.name().into())),
         ("audit", Json::Bool(c.audit)),
         ("speeds", encode_speed_model(&c.speeds)),
     ])
@@ -571,16 +570,6 @@ pub fn encode_sim_config(c: &SimConfig) -> Json {
 /// [`SimConfig::default`].
 pub fn decode_sim_config(v: &Json) -> Result<SimConfig, ApiError> {
     let d = SimConfig::default();
-    let queue_backend = match v.get("queue") {
-        None | Some(Json::Null) => d.queue_backend,
-        Some(q) => {
-            let name = q
-                .str()
-                .ok_or_else(|| ApiError("field 'queue' must be a string".into()))?;
-            QueueBackend::parse(name)
-                .ok_or_else(|| ApiError(format!("unknown queue backend '{name}'")))?
-        }
-    };
     let trace_mode = match v.get("trace_mode") {
         None | Some(Json::Null) => d.trace_mode,
         Some(t) => decode_trace_mode(
@@ -598,7 +587,6 @@ pub fn decode_sim_config(v: &Json) -> Result<SimConfig, ApiError> {
             None | Some(Json::Null) => FaultModel::None,
             Some(f) => decode_fault_model(f)?,
         },
-        queue_backend,
         audit: bool_field_or(v, "audit", d.audit)?,
         speeds: match v.get("speeds") {
             None | Some(Json::Null) => SpeedModel::Declared,
@@ -913,7 +901,6 @@ mod tests {
         .seed(42)
         .reps(3)
         .trace_mode(TraceMode::MetricsOnly)
-        .queue(QueueBackend::Heap)
         .max_events(1_000_000)
         .faults(FaultModel::Plan(
             FaultPlan::new()
@@ -969,7 +956,7 @@ mod tests {
             encode_run_spec(&spec).canonical(),
             "{\"config\":{\"audit\":false,\"faults\":{\"kind\":\"none\"},\
              \"max_concurrent_sends\":1,\"max_events\":50000000,\"output_ratio\":0,\
-             \"queue\":\"calendar\",\"speeds\":{\"kind\":\"declared\"},\
+             \"speeds\":{\"kind\":\"declared\"},\
              \"trace_mode\":\"off\",\"uplink_capacity\":null},\
              \"recovery\":null,\"reps\":1,\"scheduler\":{\"kind\":\"umr\"},\"seed\":0}"
         );

@@ -116,13 +116,25 @@ pub fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Reque
     // or no version token at all) defaults to close.
     let mut keep_alive = parts.next() == Some("HTTP/1.1");
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
+                let length = value.trim().parse().map_err(|_| {
                     ReadError::Bad(400, "Bad Request", "invalid Content-Length".into())
                 })?;
+                // Differing values make the body's framing ambiguous: a
+                // proxy that honours another one would frame a different
+                // body (request smuggling). RFC 9112 §6.3 requires a 400;
+                // identical repeats are allowed (RFC 9110 §8.6).
+                if content_length.is_some_and(|prev| prev != length) {
+                    return Err(ReadError::Bad(
+                        400,
+                        "Bad Request",
+                        "conflicting Content-Length headers".into(),
+                    ));
+                }
+                content_length = Some(length);
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 return Err(ReadError::Bad(
                     501,
@@ -139,6 +151,7 @@ pub fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Reque
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::Bad(
             413,

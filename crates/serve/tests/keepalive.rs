@@ -220,6 +220,46 @@ fn malformed_second_request_answers_then_closes() {
 }
 
 #[test]
+fn duplicate_content_lengths_must_agree() {
+    let server = Server::start(config()).expect("server binds");
+    let addr = server.addr;
+    let head = |first: usize, second: usize| {
+        format!(
+            "POST /plan HTTP/1.1\r\nHost: test\r\nContent-Length: {first}\r\n\
+             Content-Length: {second}\r\n\r\n"
+        )
+    };
+
+    // Identical repeats frame one body unambiguously: served as usual.
+    let (_, _, baseline) = close_request(addr, "POST", "/plan", PLAN);
+    let mut stream = connect(addr);
+    let mut wire = head(PLAN.len(), PLAN.len()).into_bytes();
+    wire.extend_from_slice(PLAN.as_bytes());
+    stream.write_all(&wire).unwrap();
+    let mut carry = Vec::new();
+    let (status, _, body) = read_framed(&mut stream, &mut carry);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, baseline);
+
+    // Conflicting values: a proxy honouring the other one would frame a
+    // different body (request smuggling), so the head alone earns a 400
+    // and a closed connection. The body is never sent, so the server's
+    // close leaves no unread bytes behind to turn into a reset.
+    let mut stream = connect(addr);
+    stream
+        .write_all(head(PLAN.len(), PLAN.len() - 1).as_bytes())
+        .unwrap();
+    let (status, head, body) = read_framed(&mut stream, &mut carry);
+    assert_eq!(status, 400, "{body}");
+    assert!(head.contains("Connection: close"), "head: {head}");
+    assert!(body.contains("conflicting Content-Length"), "{body}");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "connection must be closed after a 400");
+    server.shutdown();
+}
+
+#[test]
 fn response_cache_serves_byte_identical_hits_across_connections() {
     let server = Server::start(config()).expect("server binds");
     let addr = server.addr;
@@ -245,6 +285,43 @@ fn response_cache_serves_byte_identical_hits_across_connections() {
         "{metrics}"
     );
     assert!(metrics.contains("dls_serve_sim_cache_evictions_total 0"));
+    server.shutdown();
+}
+
+#[test]
+fn retired_queue_key_is_ignored() {
+    // `config.queue` used to pick the engine's event-queue backend. The
+    // engine now has one queue and the decoder no longer reads the key,
+    // so a client that still sends it gets the same bytes from the same
+    // cache entry.
+    let with_key = SIMULATE.replace(
+        "\"reps\": 2}",
+        "\"reps\": 2, \"config\": {\"queue\": \"heap\"}}",
+    );
+    assert_ne!(with_key, SIMULATE);
+
+    // Computed both ways (response cache off): byte-identical bodies.
+    let server = Server::start(ServerConfig {
+        sim_cache_capacity: 0,
+        ..config()
+    })
+    .expect("server binds");
+    let (status, _, computed) = close_request(server.addr, "POST", "/v1/simulate", &with_key);
+    assert_eq!(status, 200, "{computed}");
+    let (_, _, baseline) = close_request(server.addr, "POST", "/v1/simulate", SIMULATE);
+    assert_eq!(computed, baseline);
+    server.shutdown();
+
+    // Cache on: the keyed request fills the entry the plain one hits, so
+    // both canonicalize to the same cache key.
+    let server = Server::start(config()).expect("server binds");
+    let (status, head, first) = close_request(server.addr, "POST", "/v1/simulate", &with_key);
+    assert_eq!(status, 200, "{first}");
+    assert!(head.contains("X-Sim-Cache: miss"), "head: {head}");
+    let (status, head, second) = close_request(server.addr, "POST", "/v1/simulate", SIMULATE);
+    assert_eq!(status, 200, "{second}");
+    assert!(head.contains("X-Sim-Cache: hit"), "head: {head}");
+    assert_eq!(second, first);
     server.shutdown();
 }
 

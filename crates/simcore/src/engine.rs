@@ -45,7 +45,7 @@ use crate::faults::{FaultAction, FaultInjector, FaultModel};
 use crate::invariants::{InvariantChecker, InvariantFinding, WorkLedger};
 use crate::metrics::{EventCounts, MetricsSummary};
 use crate::platform::Platform;
-use crate::queue::{EventQueue, QueueBackend};
+use crate::queue::EventQueue;
 use crate::scheduler::{Decision, Scheduler, SimView, WorkerView};
 use crate::speed::{RealizedSpeeds, SpeedModel};
 use crate::trace::{LostStage, Trace, TraceEvent};
@@ -121,10 +121,6 @@ pub struct SimConfig {
     /// link drops). [`FaultModel::None`] (default) is the paper's reliable
     /// platform and leaves results bit-identical to a fault-free build.
     pub faults: FaultModel,
-    /// Pending-event queue implementation (see [`QueueBackend`]). Both
-    /// backends pop the identical event order, so results are byte-for-byte
-    /// independent of the choice; only the speed differs.
-    pub queue_backend: QueueBackend,
     /// Run the streaming [`InvariantChecker`] alongside the simulation and
     /// return its findings in [`SimResult::audit`]. Works in every trace
     /// mode (the checker consumes events as they are emitted, no stored
@@ -147,7 +143,6 @@ impl Default for SimConfig {
             uplink_capacity: None,
             output_ratio: 0.0,
             faults: FaultModel::None,
-            queue_backend: QueueBackend::default(),
             audit: false,
             speeds: SpeedModel::default(),
         }
@@ -319,7 +314,7 @@ enum Event {
         id: usize,
     },
     /// A fault strikes (fault-injection extension). The next fault is
-    /// queued into the heap only when this one fires, so the fault-free
+    /// queued into the event queue only when this one fires, so the fault-free
     /// path allocates no event sequence numbers to faults.
     Fault { worker: usize, action: FaultAction },
     /// Scheduler-requested wake-up from [`Decision::WaitUntil`]
@@ -398,7 +393,7 @@ const POOL_EPS: f64 = 1e-9;
 ///
 /// For repeated runs over the same platform (sweeps, benchmarks), keep one
 /// engine alive and alternate [`Engine::reset`] / [`Engine::run_reusing`]:
-/// every internal buffer — event heap, work ledger, worker queues, transfer
+/// every internal buffer — event queue, work ledger, worker queues, transfer
 /// pool — retains its allocation across runs, so steady-state repetitions
 /// allocate almost nothing.
 pub struct Engine<'a> {
@@ -433,7 +428,7 @@ pub struct Engine<'a> {
     returned_work: f64,
     /// Work ledger: one record per dispatched chunk, indexed by chunk id.
     ledger: Vec<ChunkRecord>,
-    /// Remaining faults, fed into the heap one at a time.
+    /// Remaining faults, fed into the event queue one at a time.
     fault_injector: FaultInjector,
     /// True when `config.faults` can produce faults; gates every semantic
     /// change relative to the fault-free engine.
@@ -517,7 +512,7 @@ impl<'a> Engine<'a> {
         // least a few chunks per worker. Reuse via `reset` then holds the
         // high-water capacity across repetitions.
         let event_capacity = 32 + 4 * n;
-        let queue = EventQueue::with_capacity(config.queue_backend, event_capacity);
+        let queue = EventQueue::with_capacity(event_capacity);
         let checker = config
             .audit
             .then(|| InvariantChecker::new(n, config.max_concurrent_sends));
@@ -1312,7 +1307,7 @@ impl<'a> Engine<'a> {
 
             // In fault mode, stop as soon as all work is settled: pending
             // fault events must not stretch the makespan, and with
-            // crash-stop losses the heap can drain with work undone —
+            // crash-stop losses the queue can drain with work undone —
             // partial completion, not a scheduler deadlock. The same early
             // exit applies when scheduler timers are pending
             // (`Decision::WaitUntil`): a leftover wake-up after the last

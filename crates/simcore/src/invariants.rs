@@ -1,13 +1,13 @@
 //! Streaming invariant checking: the physical platform model, asserted
 //! while the engine runs.
 //!
-//! [`Trace::validate`](crate::Trace::validate) checks the same invariants
-//! post-hoc, but needs a [`TraceMode::Full`](crate::TraceMode::Full) trace
-//! held in memory. The [`InvariantChecker`] here consumes each
-//! [`TraceEvent`] as the engine emits it — the engine calls it from its
-//! event recorder, which fires in **every** trace mode — so audits run
-//! under `MetricsOnly` (or even `Off`) with O(live chunks) memory instead
-//! of O(events).
+//! The [`InvariantChecker`] here consumes each [`TraceEvent`] as the engine
+//! emits it — the engine calls it from its event recorder, which fires in
+//! **every** trace mode — so audits run under `MetricsOnly` (or even `Off`)
+//! with O(live chunks) memory instead of O(events).
+//! [`Trace::validate`](crate::Trace::validate) replays a stored trace
+//! through this checker, so live audits and post-hoc validation share one
+//! rule set.
 //!
 //! Checked while streaming:
 //!
@@ -35,8 +35,9 @@ use std::fmt;
 
 use crate::trace::{LostStage, TraceEvent};
 
-/// Float tolerance for matching chunk sizes and comparing event times,
-/// identical to the post-hoc validator's.
+/// Float tolerance for matching chunk sizes and comparing event times.
+/// Event times come from sums of perturbed durations, so exact equality
+/// can't be demanded.
 const TIME_EPS: f64 = 1e-9;
 
 /// Findings kept verbatim before the checker starts counting instead of
@@ -132,17 +133,18 @@ pub struct WorkLedger {
 
 /// Streaming checker of the platform model's physical invariants.
 ///
-/// Mirrors [`Trace::validate`](crate::Trace::validate)'s state machine
-/// event-for-event, but runs *inside* the engine with no stored trace.
-/// Feed every emitted [`TraceEvent`] to [`InvariantChecker::observe`], then
+/// Runs *inside* the engine with no stored trace:
+/// feed every emitted [`TraceEvent`] to [`InvariantChecker::observe`], then
 /// call [`InvariantChecker::finalize`] with the engine's [`WorkLedger`].
+/// [`Trace::validate`](crate::Trace::validate) replays a stored trace
+/// through this checker, with the trace's own work sums as the ledger.
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {
     num_workers: usize,
     max_sends: usize,
     event_index: usize,
     last_time: f64,
-    // Mirror of the validator's chunk-lifecycle state.
+    // Chunk-lifecycle state.
     open_sends: Vec<Vec<f64>>,
     open_returns: Vec<Vec<f64>>,
     open_send_count: usize,
@@ -724,8 +726,8 @@ mod tests {
         }
     }
 
-    /// Replay of the trace-module's valid fixture through the streaming
-    /// checker: two chunks, serial sends, serial computes.
+    /// The trace module's valid fixture fed to the checker directly: two
+    /// chunks, serial sends, serial computes.
     fn feed_valid(checker: &mut InvariantChecker) {
         let events = [
             TraceEvent::SendStart {

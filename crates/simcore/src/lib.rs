@@ -55,7 +55,7 @@ pub mod jobs;
 pub mod metrics;
 pub mod platform;
 pub mod profile;
-pub mod queue;
+mod queue;
 pub mod scheduler;
 pub mod speed;
 pub mod trace;
@@ -71,7 +71,6 @@ pub use jobs::{JobSet, JobSetError, JobSpec};
 pub use metrics::{EventCounts, FairnessSummary, Gap, JobMetrics, MetricsSummary, TraceMetrics};
 pub use platform::{HomogeneousParams, Platform, PlatformError, WorkerSpec};
 pub use profile::CostProfile;
-pub use queue::{EventQueue, QueueBackend};
 pub use scheduler::{Decision, Scheduler, SimView, WorkerView};
 pub use speed::{RealizedSpeeds, SpeedModel};
-pub use trace::{LostStage, Trace, TraceEvent, TraceViolation};
+pub use trace::{LostStage, Trace, TraceEvent};

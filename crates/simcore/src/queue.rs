@@ -1,69 +1,24 @@
-//! Pluggable pending-event queues for the simulation engine.
+//! The engine's pending-event queue: a calendar queue (Brown '88).
 //!
 //! The engine needs one operation pair — insert an event keyed by
 //! `(time, seq)` and remove the smallest such key — and its determinism
 //! contract requires the *exact* `(time, seq)` ascending total order, so
-//! simultaneous events fire in insertion (`seq`) order. Two backends
-//! provide it:
+//! simultaneous events fire in insertion (`seq`) order.
 //!
-//! * [`QueueBackend::Heap`] — a plain binary heap. `O(log n)` per
-//!   operation, no tuning, the reference implementation.
-//! * [`QueueBackend::Calendar`] — a calendar queue (Brown '88): events
-//!   hash into time buckets of width `w`, the dequeue cursor walks the
-//!   buckets in time order, and events beyond the bucket window wait in a
-//!   sorted overflow rung. Amortized `O(1)` per operation for the
-//!   near-monotone, bounded-horizon timestamps a DES produces. The bucket
-//!   width re-tunes itself from the observed event rate whenever the queue
-//!   is cleared ([`EventQueue::clear`]), so repetition loops that reuse
-//!   the queue run with a width fitted to the previous run.
+//! Events hash into time buckets of width `w`, the dequeue cursor walks the
+//! buckets in time order, and events beyond the bucket window wait in a
+//! sorted overflow rung. Amortized `O(1)` per operation for the
+//! near-monotone, bounded-horizon timestamps a DES produces. The bucket
+//! width re-tunes itself from the observed event rate whenever the queue is
+//! cleared ([`EventQueue::clear`]), so repetition loops that reuse the
+//! queue run with a width fitted to the previous run.
 //!
-//! Both backends pop the identical sequence for any push history — the
-//! bucketing only ever *partitions* the key order (all keys in bucket `d`
-//! sort strictly before all keys in bucket `d + 1`), never reorders it —
-//! so simulation results are byte-identical across backends. The
-//! equivalence proptests in `tests/queue_backend_equivalence.rs` pin this.
-
-/// Which pending-event queue implementation a run uses.
-///
-/// Selected per run via `SimConfig::queue_backend`. The calendar queue is
-/// the default: it is at least as fast as the heap on the benchmark's
-/// pinned cases and strictly faster on fault-heavy runs, where far-future
-/// fault events would otherwise churn the heap. See
-/// `docs/BENCHMARKS.md` ("Queue backends") for when each wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Binary min-heap on `(time, seq)` — the reference backend.
-    Heap,
-    /// Calendar queue with dynamic bucket width and a sorted overflow
-    /// rung (default).
-    #[default]
-    Calendar,
-}
-
-impl QueueBackend {
-    /// Parse a backend name as used by CLI flags (`"heap"` / `"calendar"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" => Some(QueueBackend::Heap),
-            "calendar" => Some(QueueBackend::Calendar),
-            _ => None,
-        }
-    }
-
-    /// The CLI/JSON name of the backend (`"heap"` / `"calendar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::Heap => "heap",
-            QueueBackend::Calendar => "calendar",
-        }
-    }
-}
-
-impl std::fmt::Display for QueueBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+//! The bucketing only ever *partitions* the key order (all keys in bucket
+//! `d` sort strictly before all keys in bucket `d + 1`), never reorders it,
+//! so the queue pops exactly the sequence a binary heap on `(time, seq)`
+//! would. The property test in this module pins that against a reference
+//! heap over random push/pop/clear histories; `docs/BENCHMARKS.md`
+//! ("Event queue") records why the engine uses this queue and not a heap.
 
 /// One queued entry: the ordering key plus the caller's payload.
 type Entry<T> = (f64, u64, T);
@@ -84,169 +39,13 @@ fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
     }
 }
 
-/// A pending-event priority queue over `(time, seq)` keys with a
-/// selectable backend. `pop` always returns the entry with the smallest
-/// key; keys are unique because the engine never reuses a sequence number
-/// within a run.
-#[derive(Debug)]
-pub struct EventQueue<T> {
-    imp: Imp<T>,
-}
-
-#[derive(Debug)]
-enum Imp<T> {
-    Heap(HeapQueue<T>),
-    Calendar(CalendarQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// Create a queue of the given backend, pre-sized for roughly
-    /// `capacity` simultaneously pending events.
-    pub fn with_capacity(backend: QueueBackend, capacity: usize) -> Self {
-        let imp = match backend {
-            QueueBackend::Heap => Imp::Heap(HeapQueue::with_capacity(capacity)),
-            QueueBackend::Calendar => Imp::Calendar(CalendarQueue::with_capacity(capacity)),
-        };
-        EventQueue { imp }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.imp {
-            Imp::Heap(_) => QueueBackend::Heap,
-            Imp::Calendar(_) => QueueBackend::Calendar,
-        }
-    }
-
-    /// Insert an entry. `time` must be finite and non-negative.
-    #[inline]
-    pub fn push(&mut self, time: f64, seq: u64, item: T) {
-        debug_assert!(time.is_finite() && time >= 0.0, "event time {time}");
-        match &mut self.imp {
-            Imp::Heap(q) => q.push(time, seq, item),
-            Imp::Calendar(q) => q.push(time, seq, item),
-        }
-    }
-
-    /// Remove and return the entry with the smallest `(time, seq)` key.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(f64, u64, T)> {
-        match &mut self.imp {
-            Imp::Heap(q) => q.pop(),
-            Imp::Calendar(q) => q.pop(),
-        }
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Heap(q) => q.heap.len(),
-            Imp::Calendar(q) => q.len,
-        }
-    }
-
-    /// True when no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Empty the queue, keeping every buffer's allocation for reuse. The
-    /// calendar backend additionally re-tunes its bucket width from the
-    /// finished run's observed event rate, so the next run over the same
-    /// scenario starts fitted.
-    pub fn clear(&mut self) {
-        match &mut self.imp {
-            Imp::Heap(q) => q.heap.clear(),
-            Imp::Calendar(q) => q.clear(),
-        }
-    }
-
-    /// Debug probe: total allocated capacity (entries) across the queue's
-    /// internal buffers, plus the bucket count for the calendar backend.
-    /// Used by the reuse tests to assert that repetition loops stop
-    /// growing allocations; not part of the stable API.
-    #[doc(hidden)]
-    pub fn capacity_probe(&self) -> usize {
-        match &self.imp {
-            Imp::Heap(q) => q.heap.capacity(),
-            Imp::Calendar(q) => {
-                q.buckets.len()
-                    + q.buckets.iter().map(Vec::capacity).sum::<usize>()
-                    + q.overflow.capacity()
-            }
-        }
-    }
-}
-
-/// Binary-heap backend. `std`'s `BinaryHeap` is a max-heap, so the entry
-/// ordering is reversed: the earliest `(time, seq)` compares greatest.
-#[derive(Debug)]
-struct HeapQueue<T> {
-    heap: std::collections::BinaryHeap<HeapEntry<T>>,
-}
-
-struct HeapEntry<T> {
-    time: f64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> std::fmt::Debug for HeapEntry<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapEntry")
-            .field("time", &self.time)
-            .field("seq", &self.seq)
-            .finish()
-    }
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: earliest time (then lowest seq) is the heap maximum.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<T> HeapQueue<T> {
-    fn with_capacity(capacity: usize) -> Self {
-        HeapQueue {
-            heap: std::collections::BinaryHeap::with_capacity(capacity),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, time: f64, seq: u64, item: T) {
-        self.heap.push(HeapEntry { time, seq, item });
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(f64, u64, T)> {
-        self.heap.pop().map(|e| (e.time, e.seq, e.item))
-    }
-}
-
 /// Smallest and largest bucket widths the tuner may pick. The lower bound
 /// keeps `time / width` well inside `u64` range for any simulation-scale
 /// timestamp; the upper bound keeps day indices meaningful.
 const MIN_WIDTH: f64 = 1e-9;
 const MAX_WIDTH: f64 = 1e12;
 
-/// Largest day index [`CalendarQueue::day`] may return. The raw `f64 → u64`
+/// Largest day index [`EventQueue::day`] may return. The raw `f64 → u64`
 /// cast saturates at `u64::MAX` for `time/width ≳ 1.8e19`, which pinned the
 /// dequeue window against the integer ceiling: after the overflow jump set
 /// `cur_day` to a saturated day, `day < cur_day.saturating_add(nbuckets)`
@@ -260,7 +59,10 @@ const MAX_DAY: u64 = u64::MAX >> 1;
 /// empty bucket.
 const WIDTH_EVENTS_PER_BUCKET: f64 = 3.0;
 
-/// Calendar-queue backend (Brown '88, simplified to a sliding window).
+/// Pending-event priority queue over `(time, seq)` keys: a calendar queue
+/// simplified to a sliding window. `pop` always returns the entry with the
+/// smallest key; keys are unique because the engine never reuses a
+/// sequence number within a run.
 ///
 /// Time is divided into *days* of width `width`; day `d` covers
 /// `[d·width, (d+1)·width)`. The queue keeps a window of `buckets.len()`
@@ -277,7 +79,7 @@ const WIDTH_EVENTS_PER_BUCKET: f64 = 3.0;
 /// between empty-bucket cursor walks (too small) and long sorted inserts
 /// (too large).
 #[derive(Debug)]
-struct CalendarQueue<T> {
+pub struct EventQueue<T> {
     buckets: Vec<Vec<Entry<T>>>,
     /// `buckets.len() - 1`; bucket index is `day & day_mask`.
     day_mask: u64,
@@ -296,10 +98,12 @@ struct CalendarQueue<T> {
     last_pop_time: f64,
 }
 
-impl<T> CalendarQueue<T> {
-    fn with_capacity(capacity: usize) -> Self {
+impl<T> EventQueue<T> {
+    /// Create a queue pre-sized for roughly `capacity` simultaneously
+    /// pending events.
+    pub fn with_capacity(capacity: usize) -> Self {
         let nbuckets = capacity.max(64).next_power_of_two();
-        CalendarQueue {
+        EventQueue {
             buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
             day_mask: nbuckets as u64 - 1,
             width: 0.25,
@@ -311,6 +115,21 @@ impl<T> CalendarQueue<T> {
             first_pop_time: 0.0,
             last_pop_time: 0.0,
         }
+    }
+
+    /// Number of pending entries.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Debug probe: total allocated capacity (entries) across the queue's
+    /// internal buffers, plus the bucket count. Used by the reuse tests to
+    /// assert that repetition loops stop growing allocations.
+    pub fn capacity_probe(&self) -> usize {
+        self.buckets.len()
+            + self.buckets.iter().map(Vec::capacity).sum::<usize>()
+            + self.overflow.capacity()
     }
 
     #[inline]
@@ -332,8 +151,10 @@ impl<T> CalendarQueue<T> {
         bucket.insert(pos, entry);
     }
 
+    /// Insert an entry. `time` must be finite and non-negative.
     #[inline]
-    fn push(&mut self, time: f64, seq: u64, item: T) {
+    pub fn push(&mut self, time: f64, seq: u64, item: T) {
+        debug_assert!(time.is_finite() && time >= 0.0, "event time {time}");
         let d = self.day(time);
         self.len += 1;
         if d >= self.cur_day.saturating_add(self.buckets.len() as u64) {
@@ -352,7 +173,8 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    fn pop(&mut self) -> Option<(f64, u64, T)> {
+    /// Remove and return the entry with the smallest `(time, seq)` key.
+    pub fn pop(&mut self) -> Option<(f64, u64, T)> {
         if self.len == 0 {
             return None;
         }
@@ -382,7 +204,7 @@ impl<T> CalendarQueue<T> {
                 }
                 self.last_pop_time = entry.0;
                 self.pops += 1;
-                return Some((entry.0, entry.1, entry.2));
+                return Some(entry);
             }
             self.cur_day += 1;
         }
@@ -411,7 +233,10 @@ impl<T> CalendarQueue<T> {
         debug_assert_eq!(self.len, total);
     }
 
-    fn clear(&mut self) {
+    /// Empty the queue, keeping every buffer's allocation for reuse, and
+    /// re-tune the bucket width from the finished run's observed event
+    /// rate, so the next run over the same scenario starts fitted.
+    pub fn clear(&mut self) {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
@@ -443,117 +268,132 @@ impl<T> CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reference the calendar queue must match: a binary min-heap on
+    /// `(time bits, seq)`. For the non-negative times the engine pushes,
+    /// `f64::to_bits` orders exactly like the values.
+    type RefHeap = BinaryHeap<Reverse<(u64, u64)>>;
 
     fn drain<T>(q: &mut EventQueue<T>) -> Vec<(f64, u64)> {
         std::iter::from_fn(|| q.pop().map(|(t, s, _)| (t, s))).collect()
     }
 
-    fn both_backends() -> [EventQueue<u32>; 2] {
-        [
-            EventQueue::with_capacity(QueueBackend::Heap, 8),
-            EventQueue::with_capacity(QueueBackend::Calendar, 8),
-        ]
+    fn pop_bits<T>(q: &mut EventQueue<T>) -> Option<(u64, u64)> {
+        q.pop().map(|(t, s, _)| (t.to_bits(), s))
     }
 
-    #[test]
-    fn backend_names_round_trip() {
-        for b in [QueueBackend::Heap, QueueBackend::Calendar] {
-            assert_eq!(QueueBackend::parse(b.name()), Some(b));
-            assert_eq!(format!("{b}"), b.name());
-        }
-        assert_eq!(QueueBackend::parse("nope"), None);
-        assert_eq!(QueueBackend::default(), QueueBackend::Calendar);
+    fn drain_bits<T>(q: &mut EventQueue<T>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| pop_bits(q)).collect()
+    }
+
+    fn drain_heap(h: &mut RefHeap) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| h.pop().map(|Reverse(k)| k)).collect()
+    }
+
+    /// Push the same entry into the queue and the reference heap.
+    fn push_both(q: &mut EventQueue<()>, h: &mut RefHeap, time: f64, seq: u64) {
+        q.push(time, seq, ());
+        h.push(Reverse((time.to_bits(), seq)));
     }
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        for mut q in both_backends() {
-            assert_eq!(q.pop(), None);
-            q.push(3.0, 0, 0);
-            q.push(1.0, 1, 1);
-            q.push(2.0, 2, 2);
-            q.push(1.0, 3, 3); // same time as seq 1: seq breaks the tie
-            assert_eq!(
-                drain(&mut q),
-                vec![(1.0, 1), (1.0, 3), (2.0, 2), (3.0, 0)],
-                "{:?}",
-                q.backend()
-            );
-        }
+        let mut q = EventQueue::with_capacity(8);
+        assert_eq!(q.pop(), None);
+        q.push(3.0, 0, 0);
+        q.push(1.0, 1, 1);
+        q.push(2.0, 2, 2);
+        q.push(1.0, 3, 3); // same time as seq 1: seq breaks the tie
+        assert_eq!(drain(&mut q), vec![(1.0, 1), (1.0, 3), (2.0, 2), (3.0, 0)]);
     }
 
-    #[test]
-    fn interleaved_push_pop_matches_heap() {
-        // A deterministic near-monotone workload with simultaneous events,
-        // far-future outliers (fault-style) and mid-run insertions.
-        let mut heap = EventQueue::with_capacity(QueueBackend::Heap, 4);
-        let mut cal = EventQueue::with_capacity(QueueBackend::Calendar, 4);
-        let mut seq = 0u64;
-        let mut now = 0.0f64;
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let mut rand = move || {
-            // xorshift: deterministic pseudo-random stream, no RNG dep.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for round in 0..5000 {
-            let n_push = (rand() % 4) as usize;
-            for _ in 0..n_push {
-                let r = rand();
-                let dt = match r % 10 {
-                    0 => 0.0,                           // simultaneous
-                    1..=7 => (r % 1000) as f64 / 997.0, // near future
-                    _ => 50.0 + (r % 5000) as f64,      // far future
-                };
-                heap.push(now + dt, seq, round);
-                cal.push(now + dt, seq, round);
-                seq += 1;
-            }
-            if rand() % 3 != 0 {
-                let a = heap.pop();
-                let b = cal.pop();
-                match (a, b) {
-                    (None, None) => {}
-                    (Some((ta, sa, _)), Some((tb, sb, _))) => {
-                        assert_eq!((ta.to_bits(), sa), (tb.to_bits(), sb), "round {round}");
-                        assert!(ta >= now);
-                        now = ta;
+    proptest! {
+        /// For any push/pop/clear history the calendar queue pops the
+        /// reference heap's exact `(time, seq)` sequence and holds as many
+        /// entries after every operation. The drawn parameters shape a
+        /// xorshift-driven history: the weights of simultaneous,
+        /// near-future and far-future (fault-style) pushes, the time scale
+        /// (which moves the event spacing against the bucket width), the
+        /// pop probability, and a `clear()` every `clear_every` rounds,
+        /// which re-tunes the width the way engine repetitions do.
+        #[test]
+        fn matches_reference_heap(
+            seed in 1u64..u64::MAX,
+            (w_sim, w_near, w_far) in (0u64..=4, 1u64..=8, 0u64..=4),
+            scale in 0.001f64..1000.0,
+            pop_pct in 20u64..=90,
+            clear_every in 16u64..=800,
+            capacity in 1usize..=256,
+        ) {
+            let mut q = EventQueue::with_capacity(capacity);
+            let mut heap = RefHeap::new();
+            let (mut seq, mut now) = (0u64, 0.0f64);
+            let mut x = seed;
+            let mut rand = move || {
+                // xorshift: deterministic pseudo-random stream, no RNG dep.
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for round in 1..=3000u64 {
+                for _ in 0..rand() % 4 {
+                    let r = rand();
+                    let pick = r % (w_sim + w_near + w_far);
+                    let dt = if pick < w_sim {
+                        0.0
+                    } else if pick < w_sim + w_near {
+                        ((r >> 8) % 1000) as f64 / 997.0
+                    } else {
+                        50.0 + ((r >> 8) % 5000) as f64
+                    };
+                    push_both(&mut q, &mut heap, now + dt * scale, seq);
+                    seq += 1;
+                    prop_assert_eq!(q.len(), heap.len(), "round {} push", round);
+                }
+                if rand() % 100 < pop_pct {
+                    let want = heap.pop().map(|Reverse(k)| k);
+                    prop_assert_eq!(pop_bits(&mut q), want, "round {} pop", round);
+                    if let Some((bits, _)) = want {
+                        now = f64::from_bits(bits);
                     }
-                    (a, b) => panic!("backend divergence: {a:?} vs {b:?}"),
+                    prop_assert_eq!(q.len(), heap.len(), "round {} pop", round);
+                }
+                if round % clear_every == 0 {
+                    q.clear();
+                    heap.clear();
+                    now = 0.0;
+                    prop_assert_eq!(q.len(), 0, "round {} clear", round);
                 }
             }
-            assert_eq!(heap.len(), cal.len());
+            prop_assert_eq!(drain_bits(&mut q), drain_heap(&mut heap));
         }
-        let (a, b) = (drain(&mut heap), drain(&mut cal));
-        assert_eq!(a, b);
     }
 
     #[test]
     fn grow_preserves_order() {
-        let mut q = EventQueue::with_capacity(QueueBackend::Calendar, 1);
+        let mut q = EventQueue::with_capacity(1);
+        let mut heap = RefHeap::new();
         // Push far more entries than buckets, all clustered: forces grow().
         for i in 0..5000u64 {
-            q.push((i % 7) as f64 * 1e-3, i, ());
+            push_both(&mut q, &mut heap, (i % 7) as f64 * 1e-3, i);
         }
-        let order = drain(&mut q);
-        let mut expect: Vec<(f64, u64)> =
-            (0..5000u64).map(|i| ((i % 7) as f64 * 1e-3, i)).collect();
-        expect.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        assert_eq!(order, expect);
+        assert_eq!(drain_bits(&mut q), drain_heap(&mut heap));
     }
 
     #[test]
     fn clear_retains_capacity_and_retunes() {
-        let mut q = EventQueue::with_capacity(QueueBackend::Calendar, 8);
+        let mut q = EventQueue::with_capacity(8);
         for rep in 0..5 {
             for i in 0..500u64 {
                 q.push(i as f64 * 0.01, i, ());
             }
             assert_eq!(drain(&mut q).len(), 500, "rep {rep}");
             q.clear();
-            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
         }
         let probe_after_warm = q.capacity_probe();
         for _ in 0..20 {
@@ -571,42 +411,32 @@ mod tests {
     }
 
     #[test]
-    fn heap_capacity_probe_reports_heap_capacity() {
-        let q: EventQueue<()> = EventQueue::with_capacity(QueueBackend::Heap, 100);
-        assert!(q.capacity_probe() >= 100);
-    }
-
-    #[test]
     fn extreme_timestamps_match_heap() {
         // Regression: before the MAX_DAY clamp, any timestamp with
         // `time/width` beyond u64 range saturated to day u64::MAX; the
         // overflow jump then set `cur_day` to the saturated day, the
         // migration window `day < cur_day + nbuckets` became unsatisfiable,
-        // and pop() looped forever. The backends must agree (and terminate)
-        // at any representable timestamp.
-        let mut heap = EventQueue::with_capacity(QueueBackend::Heap, 8);
-        let mut cal = EventQueue::with_capacity(QueueBackend::Calendar, 8);
+        // and pop() looped forever. The queue must match the heap (and
+        // terminate) at any representable timestamp.
+        let mut q = EventQueue::with_capacity(8);
+        let mut heap = RefHeap::new();
         let times = [0.0, 1.0, 4.7e18, 1e19, 2.5e19, 1e300, f64::MAX];
         for (i, &t) in times.iter().enumerate() {
-            heap.push(t, i as u64, ());
-            cal.push(t, i as u64, ());
+            push_both(&mut q, &mut heap, t, i as u64);
         }
-        assert_eq!(drain(&mut heap), drain(&mut cal));
+        assert_eq!(drain_bits(&mut q), drain_heap(&mut heap));
         // Interleaved variant: advance the cursor first, then force the
         // overflow jump straight to a saturating day.
-        heap.push(0.5, 100, ());
-        cal.push(0.5, 100, ());
-        heap.push(9.9e18, 101, ());
-        cal.push(9.9e18, 101, ());
-        assert_eq!(heap.pop(), cal.pop());
-        heap.push(8.8e18, 102, ());
-        cal.push(8.8e18, 102, ());
-        assert_eq!(drain(&mut heap), drain(&mut cal));
+        push_both(&mut q, &mut heap, 0.5, 100);
+        push_both(&mut q, &mut heap, 9.9e18, 101);
+        assert_eq!(pop_bits(&mut q), heap.pop().map(|Reverse(k)| k));
+        push_both(&mut q, &mut heap, 8.8e18, 102);
+        assert_eq!(drain_bits(&mut q), drain_heap(&mut heap));
     }
 
     #[test]
     fn overflow_jump_skips_empty_days() {
-        let mut q = EventQueue::with_capacity(QueueBackend::Calendar, 8);
+        let mut q = EventQueue::with_capacity(8);
         q.push(0.0, 0, ());
         q.push(1e6, 1, ()); // far beyond the initial window
         q.push(2e6, 2, ());

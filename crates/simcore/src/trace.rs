@@ -3,17 +3,20 @@
 //! The engine can record every simulated event. Traces serve three purposes:
 //!
 //! 1. **Debugging / inspection** — an ASCII Gantt chart ([`Trace::gantt`]).
-//! 2. **Validation** — [`Trace::validate`] checks the physical invariants of
-//!    the platform model (serial master link, one computation at a time per
-//!    worker, computation only after data arrival, workload conservation).
-//!    The property-based test suite runs every scheduler through this.
+//! 2. **Validation** — [`Trace::validate`] replays the stored events through
+//!    the streaming [`InvariantChecker`], which checks the physical
+//!    invariants of the platform model (serial master link, one computation
+//!    at a time per worker, computation only after data arrival, workload
+//!    conservation). The property-based test suite runs every scheduler
+//!    through this.
 //! 3. **Metrics** — per-worker busy/idle time, used by the examples.
 
-use std::fmt;
+use crate::invariants::{InvariantChecker, InvariantFinding, WorkLedger};
 
 /// Which lifecycle stage a chunk was in when a fault destroyed it. Lets the
-/// validator retire the chunk from exactly the right stage even when several
-/// same-sized chunks are live at once (factoring rounds send equal sizes).
+/// invariant checker retire the chunk from exactly the right stage even
+/// when several same-sized chunks are live at once (factoring rounds send
+/// equal sizes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LostStage {
     /// The master was still pushing it (setup or data phase).
@@ -169,92 +172,11 @@ impl TraceEvent {
     }
 }
 
-/// A violation of the platform model's physical invariants.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceViolation {
-    /// Events are not in chronological order.
-    OutOfOrder {
-        /// Index of the offending event.
-        index: usize,
-    },
-    /// Two master transfers overlapped.
-    OverlappingSends {
-        /// Index of the offending event.
-        index: usize,
-    },
-    /// A worker computed two chunks at once, or compute events don't pair.
-    OverlappingComputation {
-        /// Offending worker.
-        worker: usize,
-        /// Index of the offending event.
-        index: usize,
-    },
-    /// A chunk arrived before the master finished sending it, or a worker
-    /// started computing a chunk it had not received.
-    CausalityViolation {
-        /// Offending worker.
-        worker: usize,
-        /// Description of the violated causal edge.
-        what: &'static str,
-    },
-    /// Accounted workload (computed + explicitly lost) does not equal
-    /// dispatched workload.
-    WorkloadMismatch {
-        /// Total workload units dispatched by the master.
-        dispatched: f64,
-        /// Total workload units accounted for: computation completed plus
-        /// explicitly lost to faults.
-        computed: f64,
-    },
-    /// A non-finite or negative timestamp or chunk size.
-    InvalidValue {
-        /// Index of the offending event.
-        index: usize,
-    },
-}
-
-impl fmt::Display for TraceViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceViolation::OutOfOrder { index } => write!(f, "event {index} out of order"),
-            TraceViolation::OverlappingSends { index } => {
-                write!(f, "overlapping master sends at event {index}")
-            }
-            TraceViolation::OverlappingComputation { worker, index } => {
-                write!(
-                    f,
-                    "overlapping computation on worker {worker} at event {index}"
-                )
-            }
-            TraceViolation::CausalityViolation { worker, what } => {
-                write!(f, "causality violation on worker {worker}: {what}")
-            }
-            TraceViolation::WorkloadMismatch {
-                dispatched,
-                computed,
-            } => write!(
-                f,
-                "workload mismatch: dispatched {dispatched}, computed {computed}"
-            ),
-            TraceViolation::InvalidValue { index } => {
-                write!(f, "invalid time or chunk at event {index}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceViolation {}
-
 /// Chronological record of a simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
-
-/// Tolerance for floating-point comparisons inside the validator. Event
-/// times come from sums of perturbed durations, so exact equality can't be
-/// demanded.
-const TIME_EPS: f64 = 1e-9;
 
 impl Trace {
     /// Create an empty trace.
@@ -323,8 +245,9 @@ impl Trace {
             .count()
     }
 
-    /// Check the physical invariants of the platform model; returns every
-    /// violation found (empty = valid).
+    /// Check the physical invariants of the platform model by replaying
+    /// the stored events through an [`InvariantChecker`]; returns every
+    /// finding (empty = valid).
     ///
     /// Invariants:
     /// 1. Events are chronological, with finite non-negative times/chunks.
@@ -340,7 +263,10 @@ impl Trace {
     ///    removed from whatever lifecycle stage it occupied.
     /// 6. Fault events alternate sanely: no `WorkerDown` while down, no
     ///    `WorkerUp` while up.
-    pub fn validate(&self, num_workers: usize) -> Vec<TraceViolation> {
+    ///
+    /// Like the live checker, the replay keeps the first 32 findings and
+    /// appends a suppression notice for the rest.
+    pub fn validate(&self, num_workers: usize) -> Vec<InvariantFinding> {
         self.validate_with_concurrency(num_workers, 1)
     }
 
@@ -350,226 +276,20 @@ impl Trace {
         &self,
         num_workers: usize,
         max_sends: usize,
-    ) -> Vec<TraceViolation> {
-        let mut violations = Vec::new();
-        let mut last_time = 0.0_f64;
-        // Open sends per worker: chunks started but not yet `SendEnd`ed.
-        let mut open_sends: Vec<Vec<f64>> = vec![Vec::new(); num_workers];
-        // Open output returns per worker (output-data extension).
-        let mut open_returns: Vec<Vec<f64>> = vec![Vec::new(); num_workers];
-        let mut open_send_count = 0usize;
-        // Per worker: chunks sent but not yet arrived (FIFO), arrived but not
-        // consumed (FIFO), current computation.
-        let mut in_flight: Vec<std::collections::VecDeque<f64>> =
-            vec![Default::default(); num_workers];
-        let mut queued: Vec<std::collections::VecDeque<f64>> =
-            vec![Default::default(); num_workers];
-        let mut computing: Vec<Option<f64>> = vec![None; num_workers];
-        let mut sent_not_arrived: Vec<std::collections::VecDeque<f64>> =
-            vec![Default::default(); num_workers];
-        let mut alive = vec![true; num_workers];
-        let mut lost_total = 0.0_f64;
-
-        for (i, e) in self.events.iter().enumerate() {
-            let t = e.time();
-            let w = e.worker();
-            if !t.is_finite() || t < 0.0 {
-                violations.push(TraceViolation::InvalidValue { index: i });
-                continue;
-            }
-            if w >= num_workers {
-                violations.push(TraceViolation::InvalidValue { index: i });
-                continue;
-            }
-            if t < last_time - TIME_EPS {
-                violations.push(TraceViolation::OutOfOrder { index: i });
-            }
-            last_time = last_time.max(t);
-
-            match *e {
-                TraceEvent::SendStart { worker, chunk, .. } => {
-                    if !chunk.is_finite() || chunk < 0.0 {
-                        violations.push(TraceViolation::InvalidValue { index: i });
-                    }
-                    if open_send_count >= max_sends {
-                        violations.push(TraceViolation::OverlappingSends { index: i });
-                    }
-                    open_sends[worker].push(chunk);
-                    open_send_count += 1;
-                }
-                TraceEvent::SendEnd { worker, chunk, .. } => {
-                    match open_sends[worker]
-                        .iter()
-                        .position(|&sc| (sc - chunk).abs() < TIME_EPS)
-                    {
-                        Some(pos) => {
-                            open_sends[worker].remove(pos);
-                            open_send_count -= 1;
-                            in_flight[worker].push_back(chunk);
-                            sent_not_arrived[worker].push_back(chunk);
-                        }
-                        None => violations.push(TraceViolation::OverlappingSends { index: i }),
-                    }
-                }
-                TraceEvent::Arrival { worker, chunk, .. } => {
-                    match sent_not_arrived[worker].pop_front() {
-                        Some(sc) if (sc - chunk).abs() < TIME_EPS => {
-                            queued[worker].push_back(chunk);
-                        }
-                        _ => violations.push(TraceViolation::CausalityViolation {
-                            worker,
-                            what: "arrival without a completed send",
-                        }),
-                    }
-                }
-                TraceEvent::ComputeStart { worker, chunk, .. } => {
-                    if computing[worker].is_some() {
-                        violations
-                            .push(TraceViolation::OverlappingComputation { worker, index: i });
-                    }
-                    match queued[worker].pop_front() {
-                        Some(qc) if (qc - chunk).abs() < TIME_EPS => {
-                            computing[worker] = Some(chunk);
-                        }
-                        _ => violations.push(TraceViolation::CausalityViolation {
-                            worker,
-                            what: "compute started before chunk arrived",
-                        }),
-                    }
-                }
-                TraceEvent::ComputeEnd { worker, chunk, .. } => match computing[worker].take() {
-                    Some(cc) if (cc - chunk).abs() < TIME_EPS => {}
-                    _ => {
-                        violations.push(TraceViolation::OverlappingComputation { worker, index: i })
-                    }
-                },
-                TraceEvent::ReturnStart { worker, bytes, .. } => {
-                    if !bytes.is_finite() || bytes < 0.0 {
-                        violations.push(TraceViolation::InvalidValue { index: i });
-                    }
-                    // Returns share the master's interface with input sends.
-                    if open_send_count >= max_sends {
-                        violations.push(TraceViolation::OverlappingSends { index: i });
-                    }
-                    open_returns[worker].push(bytes);
-                    open_send_count += 1;
-                }
-                TraceEvent::ReturnEnd { worker, bytes, .. } => {
-                    match open_returns[worker]
-                        .iter()
-                        .position(|&b| (b - bytes).abs() < TIME_EPS)
-                    {
-                        Some(pos) => {
-                            open_returns[worker].remove(pos);
-                            open_send_count -= 1;
-                        }
-                        None => violations.push(TraceViolation::CausalityViolation {
-                            worker,
-                            what: "return completed without a matching start",
-                        }),
-                    }
-                }
-                TraceEvent::WorkerDown { worker, .. } => {
-                    if !alive[worker] {
-                        violations.push(TraceViolation::CausalityViolation {
-                            worker,
-                            what: "worker went down while already down",
-                        });
-                    }
-                    alive[worker] = false;
-                }
-                TraceEvent::WorkerUp { worker, .. } => {
-                    if alive[worker] {
-                        violations.push(TraceViolation::CausalityViolation {
-                            worker,
-                            what: "worker recovered while already up",
-                        });
-                    }
-                    alive[worker] = true;
-                }
-                TraceEvent::ChunkLost {
-                    worker,
-                    chunk,
-                    stage,
-                    ..
-                } => {
-                    if !chunk.is_finite() || chunk < 0.0 {
-                        violations.push(TraceViolation::InvalidValue { index: i });
-                        continue;
-                    }
-                    lost_total += chunk;
-                    // Retire the chunk from exactly the stage the event
-                    // claims (a mid-send loss leaves its SendStart without
-                    // a SendEnd).
-                    let near = |&sc: &f64| (sc - chunk).abs() < TIME_EPS;
-                    let found = match stage {
-                        LostStage::Computing => computing[worker]
-                            .filter(|c| near(c))
-                            .map(|_| computing[worker] = None)
-                            .is_some(),
-                        LostStage::Queued => queued[worker]
-                            .iter()
-                            .position(near)
-                            .map(|pos| {
-                                queued[worker].remove(pos);
-                            })
-                            .is_some(),
-                        LostStage::InFlight => sent_not_arrived[worker]
-                            .iter()
-                            .position(near)
-                            .map(|pos| {
-                                sent_not_arrived[worker].remove(pos);
-                            })
-                            .is_some(),
-                        LostStage::Sending => open_sends[worker]
-                            .iter()
-                            .position(near)
-                            .map(|pos| {
-                                open_sends[worker].remove(pos);
-                                open_send_count -= 1;
-                            })
-                            .is_some(),
-                    };
-                    if !found {
-                        violations.push(TraceViolation::CausalityViolation {
-                            worker,
-                            what: "chunk lost in a stage it never reached",
-                        });
-                    }
-                }
-                TraceEvent::Redispatch { .. } => {
-                    // Accounting marker only; the actual transfer is the
-                    // SendStart that follows.
-                }
-            }
+    ) -> Vec<InvariantFinding> {
+        let mut checker = InvariantChecker::new(num_workers, max_sends);
+        for e in &self.events {
+            checker.observe(e);
         }
-
-        if open_send_count > 0 {
-            violations.push(TraceViolation::OverlappingSends {
-                index: self.events.len(),
-            });
-        }
-        for (w, c) in computing.iter().enumerate() {
-            if c.is_some() {
-                violations.push(TraceViolation::OverlappingComputation {
-                    worker: w,
-                    index: self.events.len(),
-                });
-            }
-        }
-
-        // Conservation: everything dispatched is computed or explicitly
-        // lost to a fault (lost_total = 0 on fault-free traces).
-        let dispatched = self.dispatched_work();
-        let computed = self.computed_work();
-        let scale = dispatched.abs().max(1.0);
-        if (dispatched - computed - lost_total).abs() > 1e-6 * scale {
-            violations.push(TraceViolation::WorkloadMismatch {
-                dispatched,
-                computed: computed + lost_total,
-            });
-        }
-        violations
+        // The trace is its own ledger. Nothing counts as outstanding, so
+        // the end-state and conservation checks always run: everything
+        // dispatched must be computed or explicitly lost.
+        checker.finalize(WorkLedger {
+            dispatched: self.dispatched_work(),
+            completed: self.computed_work(),
+            lost: self.lost_work(),
+            outstanding: 0.0,
+        })
     }
 
     /// Per-worker busy time (sum of computation intervals).
@@ -734,6 +454,11 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invariants::InvariantKind;
+
+    fn has(findings: &[InvariantFinding], kind: InvariantKind) -> bool {
+        findings.iter().any(|f| f.kind == kind)
+    }
 
     fn valid_trace() -> Trace {
         let mut t = Trace::new();
@@ -821,10 +546,7 @@ mod tests {
             chunk: 1.0,
             time: 0.5,
         });
-        let v = t.validate(2);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, TraceViolation::OverlappingSends { .. })));
+        assert!(has(&t.validate(2), InvariantKind::MasterOccupation));
     }
 
     #[test]
@@ -840,10 +562,7 @@ mod tests {
             chunk: 1.0,
             time: 1.0,
         });
-        let v = t.validate(1);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, TraceViolation::OutOfOrder { .. })));
+        assert!(has(&t.validate(1), InvariantKind::NonMonotoneTime));
     }
 
     #[test]
@@ -854,10 +573,7 @@ mod tests {
             chunk: 1.0,
             time: 0.0,
         });
-        let v = t.validate(1);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, TraceViolation::CausalityViolation { .. })));
+        assert!(has(&t.validate(1), InvariantKind::Causality));
     }
 
     #[test]
@@ -903,10 +619,7 @@ mod tests {
             chunk: 2.0,
             time: 0.3,
         });
-        let v = t.validate(1);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, TraceViolation::OverlappingComputation { .. })));
+        assert!(has(&t.validate(1), InvariantKind::SerialCompute));
     }
 
     #[test]
@@ -928,10 +641,7 @@ mod tests {
             time: 1.0,
         });
         // Never computed.
-        let v = t.validate(1);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, TraceViolation::WorkloadMismatch { .. })));
+        assert!(has(&t.validate(1), InvariantKind::LedgerMismatch));
     }
 
     #[test]
@@ -942,10 +652,7 @@ mod tests {
             chunk: 0.0,
             time: 0.0,
         });
-        let v = t.validate(1);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, TraceViolation::OverlappingSends { .. })));
+        assert!(has(&t.validate(1), InvariantKind::MasterOccupation));
     }
 
     #[test]
@@ -992,29 +699,6 @@ mod tests {
         assert!(g.contains('#'));
         assert!(g.contains('='));
         assert!(Trace::new().gantt(2, 40).contains("empty"));
-    }
-
-    #[test]
-    fn violation_display() {
-        for v in [
-            TraceViolation::OutOfOrder { index: 1 },
-            TraceViolation::OverlappingSends { index: 2 },
-            TraceViolation::OverlappingComputation {
-                worker: 0,
-                index: 3,
-            },
-            TraceViolation::CausalityViolation {
-                worker: 1,
-                what: "x",
-            },
-            TraceViolation::WorkloadMismatch {
-                dispatched: 1.0,
-                computed: 0.5,
-            },
-            TraceViolation::InvalidValue { index: 4 },
-        ] {
-            assert!(!format!("{v}").is_empty());
-        }
     }
 
     /// A crash mid-transfer: worker 1 dies while its chunk is on the wire,
@@ -1093,7 +777,7 @@ mod tests {
         assert!(t
             .validate(2)
             .iter()
-            .any(|v| matches!(v, TraceViolation::CausalityViolation { worker: 1, .. })));
+            .any(|f| f.kind == InvariantKind::Causality && f.worker == Some(1)));
     }
 
     #[test]
@@ -1106,7 +790,7 @@ mod tests {
         assert!(t
             .validate(2)
             .iter()
-            .any(|v| matches!(v, TraceViolation::CausalityViolation { worker: 0, .. })));
+            .any(|f| f.kind == InvariantKind::Causality && f.worker == Some(0)));
     }
 
     #[test]
@@ -1120,13 +804,12 @@ mod tests {
             stage: LostStage::Queued,
             time: 8.0,
         });
-        assert!(t.validate(2).iter().any(|v| matches!(
-            v,
-            TraceViolation::CausalityViolation {
-                worker: 1,
-                what: "chunk lost in a stage it never reached",
-            }
-        )));
+        assert!(t
+            .validate(2)
+            .iter()
+            .any(|f| f.kind == InvariantKind::Causality
+                && f.worker == Some(1)
+                && f.detail.contains("never reached")));
     }
 
     #[test]

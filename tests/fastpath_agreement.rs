@@ -2,15 +2,14 @@
 //!
 //! [`FastPath::resolve`] claims that for deterministic, model-conforming
 //! runs the oracle closed forms already know the engine's answer. These
-//! tests pin that claim across every scheduler kind and both queue
-//! backends: whenever the resolver takes a run, the engine must agree
+//! tests pin that claim across every scheduler kind: whenever the
+//! resolver takes a run, the engine must agree
 //! within the oracle's stated tolerance; whenever it declines, the reason
 //! must be the first failed eligibility condition.
 
 use proptest::prelude::*;
 use rumr::{
-    FastPath, FastPathDecision, FastPathMiss, QueueBackend, RumrConfig, RunSpec, Scenario,
-    SchedulerKind, SimConfig,
+    FastPath, FastPathDecision, FastPathMiss, RumrConfig, RunSpec, Scenario, SchedulerKind,
 };
 
 /// Every scheduler kind the service can be asked for (all 13 variants).
@@ -54,42 +53,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Whenever the fast path answers, the engine agrees — for all 13
-    /// scheduler kinds, on both queue backends.
+    /// scheduler kinds.
     #[test]
     fn analytic_answers_agree_with_the_engine(
         scenario in scenario_strategy(),
         seed in 0u64..1000,
     ) {
         for kind in all_kinds(0.0) {
-            for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-                let spec = RunSpec::new(kind).seed(seed).config(SimConfig {
-                    queue_backend: backend,
-                    ..SimConfig::default()
-                });
-                let decision = FastPath::resolve(&scenario, &spec)
-                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
-                let Some(answer) = decision.analytic() else { continue };
-                let engine = scenario
-                    .execute(&spec)
-                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
-                prop_assert!(
-                    answer.agrees_with(engine.makespan),
-                    "{} ({:?}): analytic {} vs engine {} (residual {})",
-                    kind,
-                    backend,
-                    answer.makespan,
-                    engine.makespan,
-                    answer.residual(engine.makespan)
-                );
-                prop_assert!(
-                    (answer.planned_work - engine.completed_work()).abs()
-                        <= 1e-6 * scenario.w_total,
-                    "{}: planned {} vs completed {}",
-                    kind,
-                    answer.planned_work,
-                    engine.completed_work()
-                );
-            }
+            let spec = RunSpec::new(kind).seed(seed);
+            let decision = FastPath::resolve(&scenario, &spec)
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let Some(answer) = decision.analytic() else { continue };
+            let engine = scenario
+                .execute(&spec)
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            prop_assert!(
+                answer.agrees_with(engine.makespan),
+                "{}: analytic {} vs engine {} (residual {})",
+                kind,
+                answer.makespan,
+                engine.makespan,
+                answer.residual(engine.makespan)
+            );
+            prop_assert!(
+                (answer.planned_work - engine.completed_work()).abs()
+                    <= 1e-6 * scenario.w_total,
+                "{}: planned {} vs completed {}",
+                kind,
+                answer.planned_work,
+                engine.completed_work()
+            );
         }
     }
 

@@ -4,18 +4,16 @@
 //! job's completion-time bits, so any drift in the arbitration layer, the
 //! timer machinery, or the per-job accounting shows up as a bit-level
 //! diff. The pins were captured from the engine when the multi-load layer
-//! landed. Case 6 additionally asserts heap/calendar backend bit-identity
-//! by running the same spec under both backends against one pin set.
+//! landed.
 
 use rumr::{
     FaultModel, FaultPlan, JobSet, MultiJob, MultiPolicy, MultiRunResult, MultiRunSpec,
-    QueueBackend, RecoveryConfig, Scenario, SchedulerKind, SimConfig, SpeedModel, TraceMode,
+    RecoveryConfig, Scenario, SchedulerKind, SimConfig, SpeedModel, TraceMode,
 };
 
-fn audited(backend: QueueBackend) -> SimConfig {
+fn audited() -> SimConfig {
     SimConfig {
         trace_mode: TraceMode::Full,
-        queue_backend: backend,
         audit: true,
         ..Default::default()
     }
@@ -56,7 +54,7 @@ fn fifo_mixed_sizes_simultaneous() {
     let spec =
         MultiRunSpec::from_job_set(&set, SchedulerKind::Factoring, MultiPolicy::FifoExclusive)
             .seed(1)
-            .config(audited(QueueBackend::Heap));
+            .config(audited());
     let r = scenario.execute_jobs(&spec).unwrap();
     assert_pins(
         "fifo/simultaneous",
@@ -86,7 +84,7 @@ fn round_robin_staggered_mixed_planners() {
             SchedulerKind::rumr_known_error(0.3),
         ))
         .seed(42)
-        .config(audited(QueueBackend::Heap));
+        .config(audited());
     let r = scenario.execute_jobs(&spec).unwrap();
     assert_pins(
         "round-robin/staggered",
@@ -105,7 +103,7 @@ fn fair_share_poisson_heterogeneous() {
     let set = JobSet::poisson(5, 40.0, 200.0, 7);
     let spec = MultiRunSpec::from_job_set(&set, SchedulerKind::Factoring, MultiPolicy::FairShare)
         .seed(7)
-        .config(audited(QueueBackend::Heap));
+        .config(audited());
     let r = scenario.execute_jobs(&spec).unwrap();
     assert_pins(
         "fair-share/poisson",
@@ -127,7 +125,7 @@ fn fair_share_poisson_heterogeneous() {
 #[test]
 fn faulty_recovering_multiload() {
     let scenario = Scenario::table1(10, 1.5, 0.2, 0.2, 0.2);
-    let mut config = audited(QueueBackend::Heap);
+    let mut config = audited();
     config.faults = FaultModel::Plan(FaultPlan::new().crash_recover(15.0, 2, 20.0));
     let recovery = RecoveryConfig::default();
     let spec = MultiRunSpec::new(MultiPolicy::FifoExclusive)
@@ -151,7 +149,7 @@ fn faulty_recovering_multiload() {
 #[test]
 fn speed_revelation_multiload() {
     let scenario = Scenario::table1(8, 1.5, 0.2, 0.2, 0.0);
-    let mut config = audited(QueueBackend::Heap);
+    let mut config = audited();
     config.speeds = SpeedModel::Adversarial {
         fraction: 0.25,
         slowdown: 2.0,
@@ -171,30 +169,26 @@ fn speed_revelation_multiload() {
     );
 }
 
-/// Case 6: bursty arrivals under fair-share, pinned once and executed
-/// under BOTH queue backends — heap and calendar must produce the exact
-/// same bits.
+/// Case 6: bursty arrivals under fair-share. (The name dates from when
+/// this case also compared two event-queue implementations.)
 #[test]
 fn bursty_fair_share_backend_bit_identity() {
     let scenario = Scenario::table1(10, 1.5, 0.2, 0.2, 0.3);
     let set = JobSet::bursty(2, 2, 120.0, 180.0, 5);
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        let spec =
-            MultiRunSpec::from_job_set(&set, SchedulerKind::Factoring, MultiPolicy::FairShare)
-                .seed(5)
-                .config(audited(backend));
-        let r = scenario.execute_jobs(&spec).unwrap();
-        assert_pins(
-            &format!("bursty/{}", backend.name()),
-            &r,
+    let spec = MultiRunSpec::from_job_set(&set, SchedulerKind::Factoring, MultiPolicy::FairShare)
+        .seed(5)
+        .config(audited());
+    let r = scenario.execute_jobs(&spec).unwrap();
+    assert_pins(
+        "bursty",
+        &r,
+        0x4065efa53209d184,
+        109,
+        &[
+            0x403559856c65f409,
+            0x4035287dec98a1d2,
             0x4065efa53209d184,
-            109,
-            &[
-                0x403559856c65f409,
-                0x4035287dec98a1d2,
-                0x4065efa53209d184,
-                0x40658deaa6728eb6,
-            ],
-        );
-    }
+            0x40658deaa6728eb6,
+        ],
+    );
 }

@@ -1,19 +1,21 @@
 //! Multi-load invariant battery: concurrent tenants on one platform.
 //!
-//! Property tests over (arrival family × arbitration policy × queue
-//! backend): every audited run must come back with zero findings from
+//! Property tests over (arrival family × arbitration policy): every
+//! audited run must come back with zero findings from
 //! BOTH checkers (the engine's streaming `InvariantChecker` and the
 //! job-level `MultiJobChecker` — per-job work conservation, release-time
 //! compliance, cross-job master exclusivity), every job must finish all
 //! its work, and every completed job must dominate its oracle-style
 //! analytic lower bound (stretch ≥ 1). A refusal sweep pins the
 //! panic-vs-refusal contract: invalid inputs get a typed `PlanError`
-//! from every scheduler kind, never a panic.
+//! from every scheduler kind, never a panic. A pass-through property pins
+//! that a single job released at 0 is the single-load `RunSpec` run, bit
+//! for bit.
 
 use proptest::prelude::*;
 use rumr::{
-    FaultModel, FaultPlan, JobSet, MultiJob, MultiPolicy, MultiRunSpec, PlanError, QueueBackend,
-    RumrConfig, Scenario, SchedulerKind, SimConfig, SpeedModel, TraceMode,
+    FaultModel, FaultPlan, JobSet, MultiJob, MultiPolicy, MultiRunSpec, PlanError, RumrConfig,
+    RunSpec, Scenario, SchedulerKind, SimConfig, SpeedModel, TraceMode,
 };
 
 const EPS: f64 = 1e-9;
@@ -33,10 +35,9 @@ fn job_set(family: usize, n: usize, seed: u64, mean_size: f64, gap: f64) -> JobS
     }
 }
 
-fn audited(backend: QueueBackend) -> SimConfig {
+fn audited() -> SimConfig {
     SimConfig {
         trace_mode: TraceMode::Full,
-        queue_backend: backend,
         audit: true,
         ..Default::default()
     }
@@ -45,8 +46,8 @@ fn audited(backend: QueueBackend) -> SimConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The headline property: for every arrival family, policy and
-    /// backend, an audited multi-load run is clean — no engine findings,
+    /// The headline property: for every arrival family and policy, an
+    /// audited multi-load run is clean — no engine findings,
     /// no job-level findings, all work delivered, every response at or
     /// above the analytic floor.
     #[test]
@@ -61,58 +62,56 @@ proptest! {
     ) {
         let scenario = Scenario::table1(workers, 1.5, 0.2, 0.2, error);
         let set = job_set(family, n, seed, mean_size, gap);
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            for policy in MultiPolicy::ALL {
-                let spec = MultiRunSpec::from_job_set(&set, SchedulerKind::Factoring, policy)
-                    .seed(seed)
-                    .config(audited(backend));
-                let result = scenario.execute_jobs(&spec).unwrap();
-                let what = format!("family {family}/{}/{}", policy.label(), backend.name());
+        for policy in MultiPolicy::ALL {
+            let spec = MultiRunSpec::from_job_set(&set, SchedulerKind::Factoring, policy)
+                .seed(seed)
+                .config(audited());
+            let result = scenario.execute_jobs(&spec).unwrap();
+            let what = format!("family {family}/{}", policy.label());
 
-                prop_assert_eq!(
-                    result.sim.audit.as_deref(),
-                    Some(&[][..]),
-                    "{}: engine audit findings",
-                    &what
+            prop_assert_eq!(
+                result.sim.audit.as_deref(),
+                Some(&[][..]),
+                "{}: engine audit findings",
+                &what
+            );
+            prop_assert!(
+                result.job_audit.is_empty(),
+                "{}: job audit findings: {:?}",
+                &what,
+                result.job_audit
+            );
+            for j in &result.jobs {
+                // Per-job work conservation: everything dispatched on
+                // the job's behalf is completed (no faults here), and
+                // the job's full size was delivered.
+                prop_assert!(
+                    (j.completed - j.size).abs() <= WORK_TOL * j.size,
+                    "{} job {}: completed {} of {}",
+                    &what, j.job, j.completed, j.size
                 );
                 prop_assert!(
-                    result.job_audit.is_empty(),
-                    "{}: job audit findings: {:?}",
-                    &what,
-                    result.job_audit
+                    (j.dispatched - j.completed - j.lost).abs() <= WORK_TOL * j.size,
+                    "{} job {}: ledger leak",
+                    &what, j.job
                 );
-                for j in &result.jobs {
-                    // Per-job work conservation: everything dispatched on
-                    // the job's behalf is completed (no faults here), and
-                    // the job's full size was delivered.
-                    prop_assert!(
-                        (j.completed - j.size).abs() <= WORK_TOL * j.size,
-                        "{} job {}: completed {} of {}",
-                        &what, j.job, j.completed, j.size
-                    );
-                    prop_assert!(
-                        (j.dispatched - j.completed - j.lost).abs() <= WORK_TOL * j.size,
-                        "{} job {}: ledger leak",
-                        &what, j.job
-                    );
-                    prop_assert!(j.first_dispatch.unwrap() >= j.release - EPS,
-                        "{} job {}: dispatched before release", &what, j.job);
-                    // Response dominates the oracle-style lower bound.
-                    let response = j.response.unwrap();
-                    prop_assert!(
-                        response >= j.lower_bound - EPS,
-                        "{} job {}: response {} beats bound {}",
-                        &what, j.job, response, j.lower_bound
-                    );
-                    prop_assert!(j.stretch.unwrap() >= 1.0 - EPS);
-                }
+                prop_assert!(j.first_dispatch.unwrap() >= j.release - EPS,
+                    "{} job {}: dispatched before release", &what, j.job);
+                // Response dominates the oracle-style lower bound.
+                let response = j.response.unwrap();
                 prop_assert!(
-                    result.sim.makespan >= set.makespan_lower_bound(&scenario.platform) - EPS,
-                    "{}: set makespan beats the whole-set bound",
-                    &what
+                    response >= j.lower_bound - EPS,
+                    "{} job {}: response {} beats bound {}",
+                    &what, j.job, response, j.lower_bound
                 );
-                prop_assert_eq!(result.fairness.completed_jobs, set.len());
+                prop_assert!(j.stretch.unwrap() >= 1.0 - EPS);
             }
+            prop_assert!(
+                result.sim.makespan >= set.makespan_lower_bound(&scenario.platform) - EPS,
+                "{}: set makespan beats the whole-set bound",
+                &what
+            );
+            prop_assert_eq!(result.fairness.completed_jobs, set.len());
         }
     }
 
@@ -132,13 +131,81 @@ proptest! {
                 .job(MultiJob::new(release_gap, 250.0, SchedulerKind::Factoring))
                 .job(MultiJob::new(2.0 * release_gap, 120.0, SchedulerKind::Gss))
                 .seed(seed)
-                .config(audited(QueueBackend::Heap));
+                .config(audited());
             let result = scenario.execute_jobs(&spec).unwrap();
             prop_assert!(result.job_audit.is_empty(), "{}: {:?}", policy.label(), result.job_audit);
             prop_assert_eq!(result.sim.audit.as_deref(), Some(&[][..]));
             for j in &result.jobs {
                 prop_assert!((j.completed - j.size).abs() <= WORK_TOL * j.size);
                 prop_assert!(j.stretch.unwrap() >= 1.0 - EPS);
+            }
+        }
+    }
+
+    /// The multi-load layer is a strict pass-through for a single job
+    /// released at 0: `Scenario::execute_jobs` with a one-job set is the
+    /// same computation as the single-load `RunSpec` path — identical
+    /// makespan bits, chunk count, trace events and metrics — for every
+    /// scheduler kind under every arbitration policy.
+    #[test]
+    fn single_job_jobset_matches_runspec(
+        workers in 2usize..=8,
+        error in 0.0f64..0.6,
+        w_total in 100.0f64..400.0,
+        seed in 0u64..1000,
+    ) {
+        let mut scenario = Scenario::table1(workers, 1.5, 0.2, 0.2, error);
+        scenario.w_total = w_total;
+        let config = SimConfig {
+            trace_mode: TraceMode::Full,
+            ..Default::default()
+        };
+        for kind in [
+            SchedulerKind::rumr_known_error(error),
+            SchedulerKind::AdaptiveRumr,
+            SchedulerKind::HetRumr(RumrConfig::with_known_error(error)),
+            SchedulerKind::Umr,
+            SchedulerKind::HetUmr,
+            SchedulerKind::Mi { installments: 2 },
+            SchedulerKind::OneRound,
+            SchedulerKind::Factoring,
+            SchedulerKind::Fsc { error },
+            SchedulerKind::Gss,
+            SchedulerKind::Tss,
+            SchedulerKind::EqualStatic,
+            SchedulerKind::SelfScheduling { unit: 10.0 },
+        ] {
+            let single = scenario
+                .execute(&RunSpec::new(kind).seed(seed).config(config.clone()))
+                .unwrap();
+            for policy in MultiPolicy::ALL {
+                let spec = MultiRunSpec::new(policy)
+                    .job(MultiJob::new(0.0, w_total, kind))
+                    .seed(seed)
+                    .config(config.clone());
+                let multi = scenario.execute_jobs(&spec).unwrap();
+                let what = format!("{kind:?}/{}", policy.label());
+                prop_assert_eq!(
+                    multi.sim.makespan.to_bits(),
+                    single.makespan.to_bits(),
+                    "{}: makespan",
+                    &what
+                );
+                prop_assert_eq!(multi.sim.num_chunks, single.num_chunks, "{}: chunks", &what);
+                prop_assert!(
+                    multi.sim.trace.as_ref().map(|t| t.events())
+                        == single.trace.as_ref().map(|t| t.events()),
+                    "{}: traces differ",
+                    &what
+                );
+                prop_assert!(multi.sim.metrics == single.metrics, "{}: metrics differ", &what);
+                prop_assert!(multi.job_audit.is_empty(), "{}: {:?}", &what, multi.job_audit);
+                prop_assert_eq!(
+                    multi.jobs[0].completion.map(f64::to_bits),
+                    Some(single.makespan.to_bits()),
+                    "{}: completion is not the makespan",
+                    &what
+                );
             }
         }
     }
@@ -152,7 +219,7 @@ fn faulty_run_with_recovery_conserves_per_job_work() {
     let scenario = Scenario::table1(6, 1.5, 0.2, 0.2, 0.2);
     let faults = FaultModel::Plan(FaultPlan::new().crash_recover(8.0, 1, 6.0));
     for policy in MultiPolicy::ALL {
-        let mut config = audited(QueueBackend::Calendar);
+        let mut config = audited();
         config.faults = faults.clone();
         let recovery = rumr::RecoveryConfig::default();
         let spec = MultiRunSpec::new(policy)
@@ -195,7 +262,7 @@ fn faulty_run_with_recovery_conserves_per_job_work() {
 #[test]
 fn speed_revelation_composes_with_multi_load() {
     let scenario = Scenario::table1(8, 1.5, 0.2, 0.2, 0.0);
-    let mut config = audited(QueueBackend::Heap);
+    let mut config = audited();
     config.speeds = SpeedModel::Adversarial {
         fraction: 0.25,
         slowdown: 2.0,

@@ -24,7 +24,6 @@ fn micro_config(errors: Vec<f64>, reps: u64) -> SweepConfig {
         w_total: 1000.0,
         progress: false,
         trace_mode: rumr::TraceMode::Off,
-        queue_backend: rumr::QueueBackend::default(),
         speeds: rumr::SpeedModel::Declared,
         audit: false,
     }

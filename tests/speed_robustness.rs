@@ -6,15 +6,13 @@
 //!
 //! * the robustness ratio — realized makespan over the clairvoyant
 //!   reference replanned on realized rates — is ≥ 1 for every scheduler
-//!   kind, every revelation profile, and both queue backends;
+//!   kind and every revelation profile;
 //! * the `Declared` model is inert: it draws nothing from the RNG, so runs
 //!   are **bit-for-bit** identical to runs with no speed model configured,
 //!   and the pinned golden makespans still hold with it switched on.
 
 use proptest::prelude::*;
-use rumr::{
-    QueueBackend, RumrConfig, RunSpec, Scenario, SchedulerKind, SimConfig, SpeedModel, TraceMode,
-};
+use rumr::{RumrConfig, RunSpec, Scenario, SchedulerKind, SimConfig, SpeedModel, TraceMode};
 
 /// Random-but-sane Table-1-style scenario (kept small for debug builds).
 fn scenario_strategy() -> impl Strategy<Value = (Scenario, f64)> {
@@ -73,8 +71,8 @@ fn profile_strategy() -> impl Strategy<Value = SpeedModel> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Ratio ≥ 1 (up to float noise) for every scheduler kind under both
-    /// queue backends, for any revelation profile: the clairvoyant
+    /// Ratio ≥ 1 (up to float noise) for every scheduler kind, for any
+    /// revelation profile: the clairvoyant
     /// reference can never be beaten by the blind run it explains.
     #[test]
     fn robustness_ratio_is_at_least_one(
@@ -82,34 +80,31 @@ proptest! {
         profile in profile_strategy(),
         seed in 0u64..1000,
     ) {
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            for kind in kinds(error) {
-                let spec = RunSpec::new(kind)
-                    .seed(seed)
-                    .queue(backend)
-                    .speeds(profile);
-                let realized = scenario
-                    .execute(&spec)
-                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
-                let report = scenario
-                    .robustness(&spec, seed, realized.makespan)
-                    .expect("profile is active");
-                prop_assert!(
-                    report.ratio.is_finite() && report.ratio >= 1.0 - 1e-9,
-                    "{kind} ({backend:?}, {}): ratio {}",
-                    profile.label(),
-                    report.ratio
-                );
-                prop_assert!(
-                    report.clairvoyant_makespan <= realized.makespan + 1e-12,
-                    "{kind}: reference above the realized run"
-                );
-                prop_assert!(
-                    report.analytic_lower_bound.is_finite() && report.analytic_lower_bound > 0.0,
-                    "{kind}: bad analytic bound {}",
-                    report.analytic_lower_bound
-                );
-            }
+        for kind in kinds(error) {
+            let spec = RunSpec::new(kind)
+                .seed(seed)
+                .speeds(profile);
+            let realized = scenario
+                .execute(&spec)
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let report = scenario
+                .robustness(&spec, seed, realized.makespan)
+                .expect("profile is active");
+            prop_assert!(
+                report.ratio.is_finite() && report.ratio >= 1.0 - 1e-9,
+                "{kind} ({}): ratio {}",
+                profile.label(),
+                report.ratio
+            );
+            prop_assert!(
+                report.clairvoyant_makespan <= realized.makespan + 1e-12,
+                "{kind}: reference above the realized run"
+            );
+            prop_assert!(
+                report.analytic_lower_bound.is_finite() && report.analytic_lower_bound > 0.0,
+                "{kind}: bad analytic bound {}",
+                report.analytic_lower_bound
+            );
         }
     }
 

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 use dls_experiments::{run_sweep, Cell, Competitor, ErrorModelKind, SweepConfig, Table1Grid};
 use dls_numerics::rng::SeedDeriver;
-use rumr::{HomogeneousParams, QueueBackend, RunSpec, Scenario, SimConfig, SpeedModel, TraceMode};
+use rumr::{HomogeneousParams, RunSpec, Scenario, SimConfig, SpeedModel, TraceMode};
 
 fn pinned_config(threads: usize, trace_mode: TraceMode) -> SweepConfig {
     SweepConfig {
@@ -31,7 +31,6 @@ fn pinned_config(threads: usize, trace_mode: TraceMode) -> SweepConfig {
         w_total: 1000.0,
         progress: false,
         trace_mode,
-        queue_backend: QueueBackend::default(),
         speeds: rumr::SpeedModel::Declared,
         audit: false,
     }
@@ -114,7 +113,6 @@ fn different_root_seed_changes_results() {
 fn fresh_reference(config: &SweepConfig, comps: &[Competitor]) -> Vec<Cell> {
     let sim_config = SimConfig {
         trace_mode: config.trace_mode,
-        queue_backend: config.queue_backend,
         speeds: config.speeds,
         audit: config.audit,
         ..SimConfig::default()

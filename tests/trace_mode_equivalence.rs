@@ -5,11 +5,13 @@
 //! `Off` and `MetricsOnly` produce *bit-identical* results to `Full` for
 //! every scheduler kind, with and without injected faults, across random
 //! scenarios. Any divergence means recording leaked into simulation logic.
+//! The runner-reuse tests at the end pin the same for the buffer-reusing
+//! repetition path the sweep and the snapshot drive.
 
 use proptest::prelude::*;
 use rumr::{
-    FaultModel, FaultPlan, RecoveryConfig, RunSpec, Scenario, SchedulerKind, SimConfig, SimResult,
-    TraceMode,
+    FaultModel, FaultPlan, PoissonFaults, RecoveryConfig, RunSpec, Scenario, SchedulerKind,
+    SimConfig, SimResult, TraceMode,
 };
 
 /// Random-but-sane Table-1-style scenario (kept small for debug builds).
@@ -229,5 +231,81 @@ fn runner_and_prototype_match_fresh_runs() {
         let stamped = runner.execute_at(&stamped_spec, seed).unwrap();
         assert_results_identical(&reused, &fresh, "runner vs fresh");
         assert_results_identical(&stamped, &fresh, "prototype vs fresh");
+    }
+}
+
+/// The event queue's storage must reach a fixed point under
+/// `reset`/`run_reusing`: after a warm-up rep sizes the buckets, 100
+/// further repetitions of the same scenario may not grow them.
+#[test]
+fn calendar_reset_reuse_does_not_grow() {
+    let scenario = Scenario::table1(20, 1.6, 0.3, 0.2, 0.3);
+    let kind = SchedulerKind::rumr_known_error(0.3);
+    let cfg = SimConfig {
+        faults: FaultModel::Poisson(PoissonFaults {
+            mttf: 60.0,
+            mttr: Some(15.0),
+            link_mtbf: None,
+            horizon: 2000.0,
+            seed: 11,
+        }),
+        ..SimConfig::default()
+    };
+    let mut runner = scenario.runner(cfg.clone());
+    let proto = runner.prototype(&kind).unwrap();
+    let spec = RunSpec::new(kind)
+        .config(cfg)
+        .recovering(RecoveryConfig::default())
+        .with_prototype(proto);
+    // Warm-up: the first runs size the buckets, and the width retune on
+    // `clear` reaches its fixed point by the second repetition.
+    for _ in 0..3 {
+        runner.execute_at(&spec, 7).unwrap();
+    }
+    let warm = runner.debug_queue_capacity();
+    assert!(warm > 0, "probe must report calendar storage");
+    for rep in 0..100 {
+        runner.execute_at(&spec, 7).unwrap();
+        assert_eq!(
+            runner.debug_queue_capacity(),
+            warm,
+            "bucket storage grew at rep {rep}"
+        );
+    }
+}
+
+/// A spec with a pre-planned prototype attached is bit-identical to one
+/// that plans per run — the snapshot's faulty cases lean on it to hoist
+/// the planner out of the timed loop.
+#[test]
+fn recovering_prototype_matches_fresh_builds() {
+    let scenario = Scenario::heterogeneous_demo(20, 0.3);
+    let kind = SchedulerKind::HetUmr;
+    let faults = FaultModel::Poisson(PoissonFaults {
+        mttf: 60.0,
+        mttr: Some(15.0),
+        link_mtbf: None,
+        horizon: 2000.0,
+        seed: 11,
+    });
+    let cfg = SimConfig {
+        faults,
+        ..SimConfig::default()
+    };
+    let mut runner = scenario.runner(cfg.clone());
+    let proto = runner.prototype(&kind).unwrap();
+    let plain = RunSpec::new(kind)
+        .config(cfg)
+        .recovering(RecoveryConfig::default());
+    let stamped_spec = plain.clone().with_prototype(proto);
+    for seed in 0..10 {
+        let fresh = runner.execute_at(&plain, seed).unwrap();
+        let stamped = runner.execute_at(&stamped_spec, seed).unwrap();
+        assert_eq!(
+            fresh.makespan.to_bits(),
+            stamped.makespan.to_bits(),
+            "seed {seed}: prototype path changed the makespan"
+        );
+        assert_eq!(fresh.events, stamped.events, "seed {seed}: event count");
     }
 }
