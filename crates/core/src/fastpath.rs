@@ -17,17 +17,19 @@
 //! [`FastPathAnswer::agrees_with`] the comparison, both kept here so the
 //! tests pin them without a running server.
 
-use dls_sched::{Prediction, RoundTiming};
+use dls_sched::{Oracle, Prediction, RoundTiming};
 use dls_sim::ErrorModel;
 
-use crate::kind::{BuildError, SchedulerKind};
+use crate::kind::{BuildError, SchedulerKind, SchedulerPrototype};
 use crate::scenario::{RunSpec, Scenario};
 
 /// Why the analytic fast path declined a run and deferred to the engine.
 ///
 /// Every variant names the first eligibility condition that failed; the
-/// service surfaces it in logs/metrics rather than in response bodies (the
-/// engine fallback is transparent to clients).
+/// service counts it on `/metrics` as
+/// `dls_serve_fastpath_miss_total{reason="…"}` (see
+/// [`FastPathMiss::label`]) rather than in response bodies (the engine
+/// fallback is transparent to clients).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastPathMiss {
     /// The scenario applies prediction errors; only the engine knows how
@@ -53,6 +55,36 @@ pub enum FastPathMiss {
     /// The oracle exists but claims only a lower bound, not an exact
     /// makespan (e.g. MI with latencies, RUMR's accounting oracle).
     InexactOracle,
+}
+
+impl FastPathMiss {
+    /// Every variant, in declaration order (`ALL[m as usize] == m`).
+    pub const ALL: [FastPathMiss; 9] = [
+        FastPathMiss::PredictionErrors,
+        FastPathMiss::Faults,
+        FastPathMiss::RevealedSpeeds,
+        FastPathMiss::CostProfile,
+        FastPathMiss::TemporalNoise,
+        FastPathMiss::Recovery,
+        FastPathMiss::NonDefaultTransport,
+        FastPathMiss::NoOracle,
+        FastPathMiss::InexactOracle,
+    ];
+
+    /// The variant's snake_case name, as used for metric labels.
+    pub fn label(self) -> &'static str {
+        match self {
+            FastPathMiss::PredictionErrors => "prediction_errors",
+            FastPathMiss::Faults => "faults",
+            FastPathMiss::RevealedSpeeds => "revealed_speeds",
+            FastPathMiss::CostProfile => "cost_profile",
+            FastPathMiss::TemporalNoise => "temporal_noise",
+            FastPathMiss::Recovery => "recovery",
+            FastPathMiss::NonDefaultTransport => "non_default_transport",
+            FastPathMiss::NoOracle => "no_oracle",
+            FastPathMiss::InexactOracle => "inexact_oracle",
+        }
+    }
 }
 
 impl std::fmt::Display for FastPathMiss {
@@ -167,9 +199,12 @@ impl FastPath {
     ///
     /// # Errors
     ///
-    /// [`BuildError`] when the scheduler kind rejects the workload or its
-    /// parameters — the same rejection [`SchedulerKind::build`] would
-    /// produce, so invalid requests fail identically on both paths.
+    /// [`BuildError`] when the inputs are invalid. An ineligible run is
+    /// checked only against the uniform [`crate::PlanError`] refusals every
+    /// kind shares (no planner runs for a run the engine must take);
+    /// planner-specific rejections of such a run surface when the engine
+    /// builds the scheduler. An eligible run reports any rejection of its
+    /// planner, the same one [`SchedulerKind::build`] would produce.
     pub fn resolve(scenario: &Scenario, spec: &RunSpec) -> Result<FastPathDecision, BuildError> {
         Self::resolve_kind(scenario, spec, spec.kind)
     }
@@ -181,27 +216,46 @@ impl FastPath {
         spec: &RunSpec,
         kind: SchedulerKind,
     ) -> Result<FastPathDecision, BuildError> {
+        Ok(Self::resolve_planned(scenario, spec, kind)?.0)
+    }
+
+    /// [`FastPath::resolve_kind`], also handing back the prototype it
+    /// solved to decide an eligible run (`None` for an ineligible one,
+    /// which solves nothing). A caller that goes on to run the engine
+    /// attaches it with [`RunSpec::with_prototype`] instead of solving
+    /// again.
+    pub fn resolve_planned(
+        scenario: &Scenario,
+        spec: &RunSpec,
+        kind: SchedulerKind,
+    ) -> Result<(FastPathDecision, Option<SchedulerPrototype>), BuildError> {
         if let Err(miss) = Self::eligibility(scenario, spec) {
-            // Invalid requests must fail identically on both paths, so
-            // run the same validation gate the builders share before
-            // declining.
-            kind.oracle(&scenario.platform, scenario.w_total)?;
-            return Ok(FastPathDecision::Engine(miss));
+            kind.validate(scenario.w_total)?;
+            return Ok((FastPathDecision::Engine(miss), None));
         }
-        let Some(oracle) = kind.oracle(&scenario.platform, scenario.w_total)? else {
-            return Ok(FastPathDecision::Engine(FastPathMiss::NoOracle));
+        let prototype = kind.prototype(&scenario.platform, scenario.w_total)?;
+        let oracle = prototype.oracle(&scenario.platform, scenario.w_total);
+        Ok((Self::decide(oracle.as_deref()), Some(prototype)))
+    }
+
+    /// Decide an eligible run from its scheduler's oracle: the analytic
+    /// answer when the oracle claims an exact makespan, the engine
+    /// otherwise.
+    pub fn decide(oracle: Option<&dyn Oracle>) -> FastPathDecision {
+        let Some(oracle) = oracle else {
+            return FastPathDecision::Engine(FastPathMiss::NoOracle);
         };
         let prediction = oracle.makespan();
         let Prediction::Exact { makespan, .. } = prediction else {
-            return Ok(FastPathDecision::Engine(FastPathMiss::InexactOracle));
+            return FastPathDecision::Engine(FastPathMiss::InexactOracle);
         };
-        Ok(FastPathDecision::Analytic(FastPathAnswer {
+        FastPathDecision::Analytic(FastPathAnswer {
             oracle: oracle.name(),
             prediction,
             makespan,
             planned_work: oracle.planned_work(),
             rounds: oracle.round_timeline(),
-        }))
+        })
     }
 
     /// Deterministic sampling decision for the DES audit: should the
@@ -305,15 +359,53 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_every_miss_in_declaration_order() {
+        for (i, miss) in FastPathMiss::ALL.into_iter().enumerate() {
+            assert_eq!(miss as usize, i, "{miss:?}");
+        }
+        let labels: std::collections::BTreeSet<&str> =
+            FastPathMiss::ALL.iter().map(|m| m.label()).collect();
+        assert_eq!(labels.len(), FastPathMiss::ALL.len(), "labels are distinct");
+    }
+
+    #[test]
     fn invalid_workload_fails_identically_on_both_paths() {
         let mut s = exact_scenario();
         s.w_total = -1.0;
         let spec = RunSpec::new(SchedulerKind::Umr);
         assert!(FastPath::resolve(&s, &spec).is_err());
-        // Ineligible runs still surface the build rejection, not a miss.
+        // Ineligible runs still surface the uniform refusals, not a miss.
         let mut noisy = Scenario::table1(10, 1.5, 0.2, 0.1, 0.3);
         noisy.w_total = -1.0;
         assert!(FastPath::resolve(&noisy, &spec).is_err());
+    }
+
+    #[test]
+    fn only_eligible_runs_solve_their_planner() {
+        let no_installments = RunSpec::new(SchedulerKind::Mi { installments: 0 });
+        // Eligible: the planner runs, and its rejection is the error.
+        assert!(matches!(
+            FastPath::resolve(&exact_scenario(), &no_installments),
+            Err(BuildError::Mi(_))
+        ));
+        // Ineligible: no planner runs, so the engine path reports it.
+        let noisy = Scenario::table1(10, 1.5, 0.2, 0.1, 0.3);
+        let (decision, prototype) =
+            FastPath::resolve_planned(&noisy, &no_installments, no_installments.kind).unwrap();
+        assert!(matches!(
+            decision,
+            FastPathDecision::Engine(FastPathMiss::PredictionErrors)
+        ));
+        assert!(prototype.is_none());
+        // An eligible miss hands back the prototype it solved.
+        let mi = RunSpec::new(SchedulerKind::Mi { installments: 3 });
+        let (decision, prototype) =
+            FastPath::resolve_planned(&exact_scenario(), &mi, mi.kind).unwrap();
+        assert!(matches!(
+            decision,
+            FastPathDecision::Engine(FastPathMiss::InexactOracle)
+        ));
+        assert!(prototype.is_some());
     }
 
     #[test]

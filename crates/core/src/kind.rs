@@ -5,6 +5,7 @@
 //! [`SchedulerKind`], so a simulation run is fully described by
 //! (platform, workload, error model, kind, seed).
 
+use std::any::Any;
 use std::fmt;
 
 use dls_sched::{
@@ -123,7 +124,7 @@ impl SchedulerKind {
     /// assert rather than solve), so without this gate the failure mode
     /// depended on the kind; now every kind refuses the same way, with a
     /// typed [`PlanError`].
-    fn validate(&self, w_total: f64) -> Result<(), PlanError> {
+    pub(crate) fn validate(&self, w_total: f64) -> Result<(), PlanError> {
         if !w_total.is_finite() || w_total <= 0.0 {
             return Err(PlanError::InvalidWorkload { w_total });
         }
@@ -186,8 +187,10 @@ impl SchedulerKind {
     }
 
     /// Build the analytic [`Oracle`] for this algorithm on the given
-    /// platform and workload, running the *same* planner the scheduler
-    /// itself uses so oracle and scheduler agree by construction.
+    /// platform and workload: solve the planner once
+    /// ([`SchedulerKind::prototype`]) and derive the oracle from it
+    /// ([`SchedulerPrototype::oracle`]), so oracle and scheduler agree by
+    /// construction.
     ///
     /// Returns `Ok(None)` for algorithms without a checkable closed form
     /// (FSC, the equal/self-scheduling baselines, adaptive and
@@ -202,39 +205,7 @@ impl SchedulerKind {
         platform: &Platform,
         w_total: f64,
     ) -> Result<Option<Box<dyn Oracle>>, BuildError> {
-        self.validate(w_total)?;
-        Ok(match *self {
-            SchedulerKind::Umr => {
-                let umr = Umr::new(platform, w_total)?;
-                Some(Box::new(UmrOracle::new(umr.schedule().clone())))
-            }
-            SchedulerKind::Rumr(cfg) => {
-                let rumr = Rumr::new(platform, w_total, cfg)?;
-                Some(Box::new(RumrOracle::new(&rumr, platform)))
-            }
-            SchedulerKind::Mi { installments } => {
-                let mi = MultiInstallment::new(platform, w_total, installments)?;
-                Some(Box::new(MiOracle::new(mi.schedule().clone(), platform)))
-            }
-            SchedulerKind::Factoring => {
-                Some(Box::new(FactoringOracle::from_platform(platform, w_total)))
-            }
-            SchedulerKind::HetUmr => {
-                let het = HetUmr::new(platform, w_total)?;
-                Some(Box::new(HetUmrOracle::new(het.schedule().clone())))
-            }
-            SchedulerKind::OneRound => {
-                let one = OneRound::new(platform, w_total)?;
-                Some(Box::new(OneRoundOracle::new(one.schedule().clone())))
-            }
-            SchedulerKind::Fsc { .. }
-            | SchedulerKind::EqualStatic
-            | SchedulerKind::SelfScheduling { .. }
-            | SchedulerKind::AdaptiveRumr
-            | SchedulerKind::HetRumr(_)
-            | SchedulerKind::Gss
-            | SchedulerKind::Tss => None,
-        })
+        Ok(self.prototype(platform, w_total)?.oracle(platform, w_total))
     }
 }
 
@@ -245,6 +216,7 @@ trait CloneScheduler: Scheduler + Send + Sync {
     fn clone_scheduler(&self) -> Box<dyn Scheduler>;
     fn clone_prototype(&self) -> Box<dyn CloneScheduler>;
     fn into_scheduler(self: Box<Self>) -> Box<dyn Scheduler>;
+    fn as_any(&self) -> &dyn Any;
 }
 
 impl<T: Scheduler + Clone + Send + Sync + 'static> CloneScheduler for T {
@@ -257,6 +229,10 @@ impl<T: Scheduler + Clone + Send + Sync + 'static> CloneScheduler for T {
     }
 
     fn into_scheduler(self: Box<Self>) -> Box<dyn Scheduler> {
+        self
+    }
+
+    fn as_any(&self) -> &dyn Any {
         self
     }
 }
@@ -278,6 +254,33 @@ impl SchedulerPrototype {
     /// Consume the prototype, yielding its scheduler directly (no clone).
     pub fn into_inner(self) -> Box<dyn Scheduler> {
         self.proto.into_scheduler()
+    }
+
+    /// The analytic [`Oracle`] of the plan this prototype already solved,
+    /// for the `platform` and `w_total` it was planned on: no planner runs
+    /// again. `None` for algorithms without a checkable closed form (see
+    /// [`SchedulerKind::oracle`]).
+    pub fn oracle(&self, platform: &Platform, w_total: f64) -> Option<Box<dyn Oracle>> {
+        let planner = self.proto.as_any();
+        if let Some(umr) = planner.downcast_ref::<Umr>() {
+            return Some(Box::new(UmrOracle::new(umr.schedule().clone())));
+        }
+        if let Some(rumr) = planner.downcast_ref::<Rumr>() {
+            return Some(Box::new(RumrOracle::new(rumr, platform)));
+        }
+        if let Some(mi) = planner.downcast_ref::<MultiInstallment>() {
+            return Some(Box::new(MiOracle::new(mi.schedule().clone(), platform)));
+        }
+        if planner.is::<Factoring>() {
+            return Some(Box::new(FactoringOracle::from_platform(platform, w_total)));
+        }
+        if let Some(het) = planner.downcast_ref::<HetUmr>() {
+            return Some(Box::new(HetUmrOracle::new(het.schedule().clone())));
+        }
+        if let Some(one) = planner.downcast_ref::<OneRound>() {
+            return Some(Box::new(OneRoundOracle::new(one.schedule().clone())));
+        }
+        None
     }
 }
 

@@ -64,7 +64,7 @@ pub mod scenario;
 pub use fastpath::{FastPath, FastPathAnswer, FastPathDecision, FastPathMiss};
 pub use kind::{BuildError, PlanError, SchedulerKind, SchedulerPrototype};
 pub use multirun::{MultiJob, MultiRunResult, MultiRunSpec};
-pub use scenario::{RobustnessReport, RunError, RunSpec, Scenario, ScenarioRunner};
+pub use scenario::{Clairvoyant, RobustnessReport, RunError, RunSpec, Scenario, ScenarioRunner};
 
 pub use dls_sched as sched;
 pub use dls_sched::{

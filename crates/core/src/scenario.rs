@@ -175,7 +175,7 @@ impl PartialEq for RunSpec {
 /// How much a run lost to planning on declared rather than realized rates
 /// (speed-robust scheduling's price of non-clairvoyance).
 ///
-/// Produced by [`Scenario::robustness`]. The *clairvoyant* reference is
+/// Produced by [`Clairvoyant::report`]. The *clairvoyant* reference is
 /// the better of (a) a twin run whose planner saw the realized platform
 /// and (b) the realized run itself — the realized execution is one
 /// schedule a clairvoyant planner could have emitted, so taking the min
@@ -202,6 +202,58 @@ pub struct RobustnessReport {
     /// clairvoyant or not, can beat it. A noisy run can land below it
     /// when prediction errors happen to speed chunks up.
     pub analytic_lower_bound: f64,
+}
+
+/// The clairvoyant twins of a run under revealed speeds, planned once on
+/// the realized platform (see [`Scenario::clairvoyant`]).
+#[derive(Debug, Clone)]
+pub struct Clairvoyant {
+    /// The scenario with the realized platform in place of the declared
+    /// one.
+    scenario: Scenario,
+    /// The twins that built, each with its solved prototype attached.
+    twins: Vec<RunSpec>,
+    /// The twins' engine configuration: the spec's, with declared speeds.
+    config: SimConfig,
+    /// [`RobustnessReport::analytic_lower_bound`].
+    analytic_lower_bound: f64,
+}
+
+impl Clairvoyant {
+    /// The robustness report of the repetition at `seed`, whose run on
+    /// declared-rate plans took `realized_makespan`.
+    ///
+    /// The clairvoyant reference is the minimum of both twins (run at the
+    /// same seed) and `realized_makespan`: the realized run is itself
+    /// clairvoyant-achievable, which keeps the ratio ≥ 1 by construction.
+    /// A twin whose run fails is skipped.
+    pub fn report(&self, seed: u64, realized_makespan: f64) -> RobustnessReport {
+        let mut runner = self.scenario.runner(self.config.clone());
+        let replanned_makespan = self
+            .twins
+            .iter()
+            .filter_map(|t| runner.execute_at(t, seed).ok())
+            .map(|r| r.makespan)
+            .fold(None, |best: Option<f64>, m| {
+                Some(best.map_or(m, |b| b.min(m)))
+            });
+        let clairvoyant_makespan = match replanned_makespan {
+            Some(m) => m.min(realized_makespan),
+            None => realized_makespan,
+        };
+        let ratio = if clairvoyant_makespan > 0.0 {
+            realized_makespan / clairvoyant_makespan
+        } else {
+            1.0
+        };
+        RobustnessReport {
+            realized_makespan,
+            replanned_makespan,
+            clairvoyant_makespan,
+            ratio,
+            analytic_lower_bound: self.analytic_lower_bound,
+        }
+    }
 }
 
 /// One experimental setting: platform + workload + error model.
@@ -358,6 +410,28 @@ impl Scenario {
     /// recovery policy — only the plan-time knowledge changes) and compare
     /// makespans.
     ///
+    /// A one-shot [`Scenario::clairvoyant`] plus [`Clairvoyant::report`];
+    /// to report on several repetitions of one spec, plan the twins once
+    /// with [`Scenario::clairvoyant`] and report per seed.
+    ///
+    /// `realized_makespan` is the makespan the caller already obtained by
+    /// executing `spec` at `seed`. Returns `None` when the spec's speed
+    /// model is [`SpeedModel::Declared`] — there is nothing to reveal, so
+    /// no robustness question to ask.
+    pub fn robustness(
+        &self,
+        spec: &RunSpec,
+        seed: u64,
+        realized_makespan: f64,
+    ) -> Option<RobustnessReport> {
+        Some(self.clairvoyant(spec)?.report(seed, realized_makespan))
+    }
+
+    /// Plan `spec`'s clairvoyant twins on the realized platform of
+    /// `spec.config.speeds`. The realized platform does not depend on the
+    /// repetition seed, so one [`Clairvoyant`] reports on every
+    /// repetition of the spec.
+    ///
     /// Two clairvoyant twins compete for the reference: the same scheduler
     /// kind replanned on realized rates, and a [`SchedulerKind::HetUmr`]
     /// twin. The second matters because most of the paper's planners are
@@ -365,25 +439,14 @@ impl Scenario {
     /// realized platform, or size chunks without looking at per-worker
     /// speeds, reproducing the blind plan exactly) — without a
     /// heterogeneity-aware twin the reference would degenerate to the
-    /// realized makespan itself and every ratio would read 1. The realized
-    /// run is itself clairvoyant-achievable, so the reference is the
-    /// minimum of both twins and `realized_makespan`, which keeps the
-    /// ratio ≥ 1 by construction.
+    /// realized makespan itself and every ratio would read 1. Twins that
+    /// cannot be built on the realized platform are skipped.
     ///
-    /// `realized_makespan` is the makespan the caller already obtained by
-    /// executing `spec` at `seed`. Returns `None` when the spec's speed
-    /// model is [`SpeedModel::Declared`] — there is nothing to reveal, so
-    /// no robustness question to ask.
-    ///
-    /// The attached prototype (if any) is dropped for the twins: it was
-    /// planned against declared rates, and the twins' whole point is to
-    /// plan against realized ones.
-    pub fn robustness(
-        &self,
-        spec: &RunSpec,
-        seed: u64,
-        realized_makespan: f64,
-    ) -> Option<RobustnessReport> {
+    /// The spec's attached prototype (if any) is not used for the twins:
+    /// it was planned against declared rates, and the twins' whole point
+    /// is to plan against realized ones. Returns `None` when the speed
+    /// model is [`SpeedModel::Declared`].
+    pub fn clairvoyant(&self, spec: &RunSpec) -> Option<Clairvoyant> {
         let speeds = spec.config.speeds;
         if !speeds.is_active() {
             return None;
@@ -392,35 +455,25 @@ impl Scenario {
             .realized_platform(&self.platform)
             .expect("realized factors are floored, so the platform stays valid");
         let analytic_lower_bound = platform.makespan_lower_bound(self.w_total);
-        let clairvoyant = Scenario {
-            platform,
-            ..self.clone()
-        };
-        let mut twin = spec.clone().seed(seed).reps(1).speeds(SpeedModel::Declared);
+        let mut twin = spec.clone().reps(1).speeds(SpeedModel::Declared);
         twin.prototype = None;
+        let config = twin.config.clone();
         let mut het_twin = twin.clone();
         het_twin.kind = SchedulerKind::HetUmr;
-        let replanned_makespan = [twin, het_twin]
-            .iter()
-            .filter_map(|t| clairvoyant.execute(t).ok())
-            .map(|r| r.makespan)
-            .fold(None, |best: Option<f64>, m| {
-                Some(best.map_or(m, |b| b.min(m)))
-            });
-        let clairvoyant_makespan = match replanned_makespan {
-            Some(m) => m.min(realized_makespan),
-            None => realized_makespan,
-        };
-        let ratio = if clairvoyant_makespan > 0.0 {
-            realized_makespan / clairvoyant_makespan
-        } else {
-            1.0
-        };
-        Some(RobustnessReport {
-            realized_makespan,
-            replanned_makespan,
-            clairvoyant_makespan,
-            ratio,
+        let twins = [twin, het_twin]
+            .into_iter()
+            .filter_map(|t| {
+                let prototype = t.kind.prototype(&platform, self.w_total).ok()?;
+                Some(t.with_prototype(prototype))
+            })
+            .collect();
+        Some(Clairvoyant {
+            scenario: Scenario {
+                platform,
+                ..self.clone()
+            },
+            twins,
+            config,
             analytic_lower_bound,
         })
     }

@@ -7,6 +7,8 @@
 //! request/response codec. The canonical form is what the service hashes
 //! for its plan cache and what the round-trip tests pin.
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value. Object fields preserve their source order;
 /// [`Json::canonical`] sorts them on output so two objects with the same
 /// fields in different order canonicalize identically.
@@ -104,12 +106,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => out.push_str(&json_num(*x)),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
+            Json::Num(x) => write_num(out, *x),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -128,9 +126,8 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(&json_escape(k));
-                    out.push_str("\":");
+                    write_str(out, k);
+                    out.push(':');
                     v.write_canonical(out);
                 }
                 out.push('}');
@@ -142,41 +139,73 @@ impl Json {
 /// Escape a string for embedding between JSON quotes.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
 /// Render a number as a JSON token.
 pub fn json_num(x: f64) -> String {
+    let mut out = String::new();
+    write_num(&mut out, x);
+    out
+}
+
+/// Append `s`, escaped, to `out`. Runs of characters that need no escape
+/// are copied in one step.
+fn escape_into(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `plain..i` ends on a character
+        // boundary.
+        out.push_str(&s[plain..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// Append a quoted, escaped string to `out`.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append a number token to `out`.
+fn write_num(out: &mut String, x: f64) {
     if x.is_finite() {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     } else {
         // NaN/inf are not JSON. Emit `null` so a schema validator — which
         // requires every schema number to be finite — rejects the document,
         // rather than a finite sentinel that would sail through unnoticed.
-        "null".into()
+        out.push_str("null");
     }
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         Parser {
-            bytes: s.as_bytes(),
+            src,
+            bytes: src.as_bytes(),
             pos: 0,
         }
     }
@@ -249,13 +278,22 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the plain run up to the next quote or backslash in one
+            // step. Both are ASCII, so the run ends on a character boundary
+            // of the (already valid UTF-8) source.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -264,32 +302,42 @@ impl<'a> Parser<'a> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.parse_unicode_escape()?),
                         _ => return Err(self.error("bad escape")),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Copy the full UTF-8 character, not just one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// Decode the `\uXXXX` escape whose `u` is at `pos`, leaving `pos` on
+    /// its last hex digit. A high surrogate followed by a low-surrogate
+    /// escape decodes to the one character the pair encodes (RFC 8259
+    /// §7); a lone surrogate decodes to U+FFFD.
+    fn parse_unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos + 1..].starts_with(b"\\u") {
+            if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                self.pos += 6;
+                let pair = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(pair).expect("a surrogate pair is a scalar value"));
+            }
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        std::str::from_utf8(hex)
+            .ok()
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.error("bad \\u escape"))
     }
 
     fn parse_array(&mut self) -> Result<Json, String> {
@@ -406,5 +454,87 @@ mod tests {
         assert_eq!(json_num(f64::NAN), "null");
         assert_eq!(json_num(f64::INFINITY), "null");
         assert_eq!(json_num(0.5), "0.5");
+    }
+
+    /// The `\uXXXX` escapes of some UTF-16 code units.
+    fn escapes(units: &[u16]) -> String {
+        units.iter().map(|u| format!("\\u{u:04x}")).collect()
+    }
+
+    /// A JSON string literal made of `\uXXXX` escapes only.
+    fn quoted(units: &[u16]) -> String {
+        format!("\"{}\"", escapes(units))
+    }
+
+    fn string(doc: &str) -> String {
+        match parse_json(doc) {
+            Ok(Json::Str(s)) => s,
+            other => panic!("{doc}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn multi_byte_runs_round_trip_around_escapes() {
+        let doc = r#""héllo\"wörld\\ünï\n€𝄞\"π""#;
+        let s = string(doc);
+        assert_eq!(s, "héllo\"wörld\\ünï\n€𝄞\"π");
+        // The writer re-escapes exactly what the parser unescaped.
+        assert_eq!(Json::Str(s).canonical(), doc);
+        assert_eq!(string(r#""€""#), "€");
+        assert_eq!(string(r#""""#), "");
+        assert_eq!(string(r#""\"\\""#), "\"\\");
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        assert_eq!(string(&quoted(&[0xd83d, 0xde00])), "\u{1F600}");
+        assert_eq!(
+            string(&format!("\"a{}b\"", escapes(&[0xd834, 0xdd1e]))),
+            "a\u{1D11E}b"
+        );
+    }
+
+    #[test]
+    fn lone_surrogates_decode_to_the_replacement_character() {
+        assert_eq!(string(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(string(r#""\ude00x""#), "\u{fffd}x");
+        // A high surrogate followed by anything but a low-surrogate escape
+        // stands alone; the next escape decodes on its own.
+        assert_eq!(string(r#""\ud83dA""#), "\u{fffd}A");
+        assert_eq!(
+            string(&quoted(&[0xd83d, 0xd83d, 0xde00])),
+            "\u{fffd}\u{1F600}"
+        );
+        assert_eq!(string(r#""\ud83d\n""#), "\u{fffd}\n");
+    }
+
+    #[test]
+    fn malformed_strings_are_rejected() {
+        for doc in [
+            r#""abc"#,
+            r#""é"#,
+            r#""abc\"#,
+            r#""a\x""#,
+            r#""\u12""#,
+            r#""\u12g4""#,
+            r#""\ud83d\uzzzz""#,
+            r#"{"k\q": 1}"#,
+        ] {
+            assert!(parse_json(doc).is_err(), "{doc} must be rejected");
+        }
+    }
+
+    #[test]
+    fn canonical_form_of_non_ascii_text_is_a_fixed_point() {
+        let v = parse_json(
+            "{\"ζ\": \"ü\\u00e9\\ud83d\\ude00\", \"a\\tb\": [\"€\\u0001\"], \"é\": {\"🦀\": \"x\\\"y\"}}",
+        )
+        .unwrap();
+        let c = v.canonical();
+        assert_eq!(
+            c,
+            "{\"a\\tb\":[\"€\\u0001\"],\"é\":{\"🦀\":\"x\\\"y\"},\"ζ\":\"üé😀\"}"
+        );
+        assert_eq!(parse_json(&c).unwrap().canonical(), c);
     }
 }

@@ -512,6 +512,9 @@ fn run_series(
         robustness: 0.0,
         audit_findings: 0,
     };
+    // The clairvoyant twins depend on the realized platform, not on the
+    // seed: plan them once for the whole series.
+    let clairvoyant = runner.scenario().clairvoyant(&spec);
     for rep in 0..config.reps {
         let seed = cell_seeds.child(rep).child(c as u64).seed();
         spec.seed = seed;
@@ -522,12 +525,8 @@ fn run_series(
         if let Some(findings) = &result.audit {
             sums.audit_findings += findings.len();
         }
-        if config.speeds.is_active() {
-            let report = runner
-                .scenario()
-                .robustness(&spec, seed, result.makespan)
-                .expect("speed model is active");
-            sums.robustness += report.ratio;
+        if let Some(clairvoyant) = &clairvoyant {
+            sums.robustness += clairvoyant.report(seed, result.makespan).ratio;
         }
         match config.trace_mode {
             TraceMode::Off => {}

@@ -11,7 +11,7 @@
 //! same defaults the Rust builders use) and strict about types: a field of
 //! the wrong JSON type is a 400, not a silent default.
 
-use dls_experiments::json::{parse_json, Json};
+use dls_experiments::json::{json_num, parse_json, Json};
 use rumr::sim::FaultAction;
 use rumr::{
     ErrorModel, FaultModel, FaultPlan, HomogeneousParams, MultiJob, MultiPolicy, MultiRunSpec,
@@ -679,13 +679,40 @@ impl PlanRequest {
     /// field order, the homogeneous shorthand expanded) produce the same
     /// string. This is the plan cache key.
     pub fn cache_key(&self) -> String {
-        obj(vec![
-            ("platform", encode_platform(&self.platform)),
-            ("scheduler", encode_scheduler(&self.kind)),
-            ("w_total", Json::Num(self.w_total)),
-        ])
-        .canonical()
+        plan_key(
+            &encode_platform(&self.platform).canonical(),
+            &self.kind,
+            self.w_total,
+        )
     }
+}
+
+/// The plan cache key of a (platform, scheduler, workload) triple, given
+/// the platform's canonical text.
+fn plan_key(platform: &str, kind: &SchedulerKind, w_total: f64) -> String {
+    canonical_object(&[
+        ("platform", platform),
+        ("scheduler", &encode_scheduler(kind).canonical()),
+        ("w_total", &json_num(w_total)),
+    ])
+}
+
+/// The canonical text of an object whose field values are already
+/// canonical: the bytes [`Json::canonical`] writes for that object.
+/// `fields` must come in sorted key order, and keys must need no escape.
+fn canonical_object(fields: &[(&str, &str)]) -> String {
+    debug_assert!(fields.windows(2).all(|w| w[0].0 < w[1].0));
+    let len: usize = fields.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+    let mut out = String::with_capacity(len + 1);
+    for (i, (key, value)) in fields.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        out.push_str(value);
+    }
+    out.push('}');
+    out
 }
 
 /// A decoded `POST /simulate` body: a full scenario plus the [`RunSpec`]
@@ -740,16 +767,7 @@ impl SimulateRequest {
     /// Canonicalized request body (cache/debug identity; `/simulate`
     /// responses are deterministic in this string).
     pub fn canonical(&self) -> String {
-        obj(vec![
-            ("platform", encode_platform(&self.scenario.platform)),
-            ("w_total", Json::Num(self.scenario.w_total)),
-            (
-                "error_model",
-                encode_error_model(&self.scenario.error_model),
-            ),
-            ("run", encode_run_spec(&self.spec)),
-        ])
-        .canonical()
+        self.keys().canonical()
     }
 
     /// The canonicalized *scenario* (platform + workload + error model,
@@ -757,27 +775,72 @@ impl SimulateRequest {
     /// that run on the same engine state produce the same string, so
     /// affinity routing sends them to the same shard.
     pub fn scenario_key(&self) -> String {
-        obj(vec![
-            ("platform", encode_platform(&self.scenario.platform)),
-            ("w_total", Json::Num(self.scenario.w_total)),
-            (
-                "error_model",
-                encode_error_model(&self.scenario.error_model),
-            ),
-        ])
-        .canonical()
+        self.keys().scenario_key()
     }
 
     /// The plan-cache key of this request's (platform, workload,
     /// scheduler) triple — `/simulate` uses it to reuse a prototype planned
     /// by an earlier `/plan`.
     pub fn plan_key(&self) -> String {
-        PlanRequest {
-            platform: self.scenario.platform.clone(),
-            w_total: self.scenario.w_total,
-            kind: self.spec.kind,
+        self.keys().plan_key()
+    }
+
+    /// Render the platform's canonical text once, for composing any of
+    /// the request's three keys. The platform is the bulk of every key,
+    /// so a caller that needs more than one key should hold one
+    /// [`SimulateKeys`].
+    pub fn keys(&self) -> SimulateKeys<'_> {
+        SimulateKeys {
+            request: self,
+            platform: encode_platform(&self.scenario.platform).canonical(),
         }
-        .cache_key()
+    }
+}
+
+/// The canonical keys of one `/simulate` request, composed around one
+/// render of its platform (see [`SimulateRequest::keys`]). Each key is
+/// byte-identical to the canonical form of its whole document.
+#[derive(Debug)]
+pub struct SimulateKeys<'a> {
+    request: &'a SimulateRequest,
+    platform: String,
+}
+
+impl SimulateKeys<'_> {
+    /// [`SimulateRequest::canonical`]: the `/simulate` response cache key.
+    pub fn canonical(&self) -> String {
+        let r = self.request;
+        canonical_object(&[
+            (
+                "error_model",
+                &encode_error_model(&r.scenario.error_model).canonical(),
+            ),
+            ("platform", &self.platform),
+            ("run", &encode_run_spec(&r.spec).canonical()),
+            ("w_total", &json_num(r.scenario.w_total)),
+        ])
+    }
+
+    /// [`SimulateRequest::scenario_key`]: the shard routing key.
+    pub fn scenario_key(&self) -> String {
+        let r = self.request;
+        canonical_object(&[
+            (
+                "error_model",
+                &encode_error_model(&r.scenario.error_model).canonical(),
+            ),
+            ("platform", &self.platform),
+            ("w_total", &json_num(r.scenario.w_total)),
+        ])
+    }
+
+    /// [`SimulateRequest::plan_key`]: the plan cache key.
+    pub fn plan_key(&self) -> String {
+        plan_key(
+            &self.platform,
+            &self.request.spec.kind,
+            self.request.scenario.w_total,
+        )
     }
 }
 
@@ -1049,5 +1112,101 @@ mod tests {
         ] {
             assert!(JobsRequest::from_json_str(bad).is_err(), "{bad}");
         }
+    }
+
+    /// The three keys as the canonical form of one whole document each:
+    /// the definition the composed keys must match byte for byte.
+    fn whole_document_keys(r: &SimulateRequest) -> [String; 3] {
+        let platform = || ("platform", encode_platform(&r.scenario.platform));
+        let w_total = || ("w_total", Json::Num(r.scenario.w_total));
+        let error_model = || ("error_model", encode_error_model(&r.scenario.error_model));
+        [
+            obj(vec![
+                platform(),
+                w_total(),
+                error_model(),
+                ("run", encode_run_spec(&r.spec)),
+            ])
+            .canonical(),
+            obj(vec![platform(), w_total(), error_model()]).canonical(),
+            obj(vec![
+                platform(),
+                ("scheduler", encode_scheduler(&r.spec.kind)),
+                w_total(),
+            ])
+            .canonical(),
+        ]
+    }
+
+    #[test]
+    fn composed_keys_match_whole_document_canonical_forms() {
+        let platforms = [
+            r#"{"homogeneous": {"n": 6, "ratio": 1.5, "comp_latency": 0.2, "net_latency": 0.1}}"#,
+            r#"{"workers": [
+                {"speed": 1.5, "bandwidth": 12.25, "comp_latency": 0.3, "net_latency": 0.1},
+                {"speed": 0.75, "bandwidth": 9, "comp_latency": 0, "net_latency": 0.2,
+                 "transfer_latency": 0.05}]}"#,
+        ];
+        let error_models = [
+            "null",
+            r#"{"kind": "none"}"#,
+            r#"{"kind": "normal", "error": 0.3}"#,
+            r#"{"kind": "inverse", "error": 0.2}"#,
+            r#"{"kind": "uniform", "error": 0.125}"#,
+        ];
+        let extras = [
+            "",
+            r#", "speeds": {"kind": "adversarial", "fraction": 0.25, "slowdown": 2}"#,
+            r#", "speeds": {"kind": "stochastic", "spread": 0.3, "seed": 9}"#,
+            r#", "speeds": {"kind": "sandbag", "fraction": 0.5, "slowdown": 1.5, "seed": 2}"#,
+        ];
+        let runs = [
+            r#"{"scheduler": {"kind": "umr"}}"#,
+            r#"{"scheduler": {"kind": "rumr", "error_estimate": 0.3}, "seed": 7, "reps": 3}"#,
+            r#"{"scheduler": {"kind": "mi", "installments": 2}, "recovery": true,
+                "config": {"faults": {"kind": "poisson", "mttf": 200, "mttr": 10,
+                "horizon": 4000, "seed": 5}, "trace_mode": "metrics"}}"#,
+            r#"{"scheduler": {"kind": "factoring"}, "recovery": {"factor": 2.5,
+                "divergence_threshold": 0.4},
+                "config": {"faults": {"kind": "plan", "events": [
+                  {"time": 30, "worker": 1, "action": "down"},
+                  {"time": 45, "worker": 1, "action": "up"}]},
+                  "speeds": {"kind": "declared"}, "max_concurrent_sends": 2}}"#,
+            r#"{"scheduler": {"kind": "het_rumr", "phase1_fraction": 0.8}, "seed": 11}"#,
+        ];
+        let mut checked = 0;
+        for platform in platforms {
+            for error_model in error_models {
+                for extra in extras {
+                    for run in runs {
+                        let body = format!(
+                            r#"{{"platform": {platform}, "w_total": 1234.5,
+                                "error_model": {error_model}{extra}, "run": {run}}}"#
+                        );
+                        let r = SimulateRequest::from_json_str(&body)
+                            .unwrap_or_else(|e| panic!("{body}: {e}"));
+                        let keys = r.keys();
+                        let [canonical, scenario, plan] = whole_document_keys(&r);
+                        assert_eq!(keys.canonical(), canonical, "{body}");
+                        assert_eq!(keys.scenario_key(), scenario, "{body}");
+                        assert_eq!(keys.plan_key(), plan, "{body}");
+                        assert_eq!(r.canonical(), canonical, "{body}");
+                        assert_eq!(r.scenario_key(), scenario, "{body}");
+                        assert_eq!(r.plan_key(), plan, "{body}");
+                        // /simulate shares the plan cache with the /plan
+                        // body naming the same triple.
+                        let scheduler = parse_json(run).unwrap();
+                        let plan_body = format!(
+                            r#"{{"scheduler": {}, "w_total": 1234.5, "platform": {platform}}}"#,
+                            scheduler.get("scheduler").unwrap().canonical()
+                        );
+                        let plan_request = PlanRequest::from_json_str(&plan_body).unwrap();
+                        assert_eq!(plan_request.cache_key(), plan, "{plan_body}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 2 * 5 * 4 * 5);
     }
 }

@@ -37,7 +37,7 @@ pub mod server;
 mod shard;
 mod sync;
 
-pub use api::{ApiError, PlanRequest, SimulateRequest};
+pub use api::{ApiError, PlanRequest, SimulateKeys, SimulateRequest};
 pub use cache::{CachedPlan, LruCache, PlanCache, SimCache};
 pub use metrics::Metrics;
 pub use server::{Server, ServerConfig};

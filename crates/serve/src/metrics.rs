@@ -12,6 +12,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use rumr::FastPathMiss;
+
 use crate::sync::lock;
 
 #[derive(Debug, Default, Clone)]
@@ -36,7 +38,9 @@ pub struct Metrics {
     accept_errors: AtomicU64,
     shard_requests: Mutex<BTreeMap<usize, u64>>,
     fastpath_analytic: AtomicU64,
-    fastpath_engine: AtomicU64,
+    /// Engine answers on fast-path-eligible endpoints, indexed by
+    /// `FastPathMiss as usize`.
+    fastpath_misses: [AtomicU64; FastPathMiss::ALL.len()],
     fastpath_audited: AtomicU64,
     fastpath_divergences: AtomicU64,
 }
@@ -131,15 +135,24 @@ impl Metrics {
         self.fastpath_analytic.load(Ordering::Relaxed)
     }
 
-    /// Count a fast-path-eligible endpoint falling back to the engine
-    /// (no exact oracle, or the request disqualified itself).
-    pub fn fastpath_engine(&self) {
-        self.fastpath_engine.fetch_add(1, Ordering::Relaxed);
+    /// Count a fast-path-eligible endpoint falling back to the engine,
+    /// by the reason the fast path declined it.
+    pub fn fastpath_miss(&self, miss: FastPathMiss) {
+        self.fastpath_misses[miss as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Engine-path answers on fast-path-eligible endpoints so far.
+    /// Engine-path answers declined for `miss` so far.
+    pub fn fastpath_miss_total(&self, miss: FastPathMiss) -> u64 {
+        self.fastpath_misses[miss as usize].load(Ordering::Relaxed)
+    }
+
+    /// Engine-path answers on fast-path-eligible endpoints so far: the
+    /// sum over every miss reason.
     pub fn fastpath_engine_total(&self) -> u64 {
-        self.fastpath_engine.load(Ordering::Relaxed)
+        FastPathMiss::ALL
+            .iter()
+            .map(|&miss| self.fastpath_miss_total(miss))
+            .sum()
     }
 
     /// Count an analytic answer re-run through the engine by the sampled
@@ -285,8 +298,20 @@ impl Metrics {
         let _ = writeln!(
             out,
             "dls_serve_fastpath_engine_total {}",
-            self.fastpath_engine.load(Ordering::Relaxed)
+            self.fastpath_engine_total()
         );
+        out.push_str(
+            "# HELP dls_serve_fastpath_miss_total Engine-path answers on fast-path-eligible endpoints, by the first failed eligibility condition.\n",
+        );
+        out.push_str("# TYPE dls_serve_fastpath_miss_total counter\n");
+        for miss in FastPathMiss::ALL {
+            let _ = writeln!(
+                out,
+                "dls_serve_fastpath_miss_total{{reason=\"{}\"}} {}",
+                miss.label(),
+                self.fastpath_miss_total(miss)
+            );
+        }
         out.push_str(
             "# HELP dls_serve_fastpath_audited_total Analytic answers re-run through the engine by the sampled audit.\n",
         );
@@ -352,7 +377,9 @@ mod tests {
         m.observe_shard(3);
         m.fastpath_analytic();
         m.fastpath_analytic();
-        m.fastpath_engine();
+        m.fastpath_miss(FastPathMiss::NoOracle);
+        m.fastpath_miss(FastPathMiss::PredictionErrors);
+        m.fastpath_miss(FastPathMiss::PredictionErrors);
         m.fastpath_audited();
         m.fastpath_divergence();
         let text = m.render();
@@ -373,7 +400,11 @@ mod tests {
         assert!(text.contains("dls_serve_shard_requests_total{shard=\"3\"} 1"));
         assert_eq!(m.shard_requests().get(&1), Some(&2));
         assert!(text.contains("dls_serve_fastpath_analytic_total 2"));
-        assert!(text.contains("dls_serve_fastpath_engine_total 1"));
+        assert!(text.contains("dls_serve_fastpath_engine_total 3"));
+        assert!(text.contains("dls_serve_fastpath_miss_total{reason=\"prediction_errors\"} 2"));
+        assert!(text.contains("dls_serve_fastpath_miss_total{reason=\"no_oracle\"} 1"));
+        assert!(text.contains("dls_serve_fastpath_miss_total{reason=\"inexact_oracle\"} 0"));
+        assert_eq!(m.fastpath_engine_total(), 3);
         assert!(text.contains("dls_serve_fastpath_audited_total 1"));
         assert!(text.contains("dls_serve_fastpath_divergence_total 1"));
         assert_eq!(m.fastpath_analytic_total(), 2);

@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 use dls_experiments::json::{json_escape, json_num};
 use rumr::sim::{SimError, TraceEvent};
 use rumr::{
-    FastPath, FastPathAnswer, MultiRunResult, Prediction, RepColumns, RobustnessReport,
-    RoundTiming, RunError, Scenario, SimResult, SpeedModel, TraceMode,
+    FastPath, FastPathAnswer, FastPathDecision, MultiRunResult, Prediction, RepColumns,
+    RobustnessReport, RoundTiming, RunError, Scenario, SimResult, SpeedModel, TraceMode,
 };
 
 use crate::api::{ApiError, JobsRequest, PlanRequest, SimulateRequest};
@@ -694,17 +694,20 @@ fn handle_plan(shared: &Shared, stream: &mut TcpStream, request: &Request, keep:
 
 type PlanFailure = (u16, &'static str, String);
 
-/// Solve a `/plan` request: prototype first (both paths reuse it), then
-/// the analytic fast path when the scheduler's oracle makes an exact
-/// claim — the error-free, declared-speed plan run is exactly the
-/// deterministic model-conforming case the closed forms answer — with the
-/// full-trace engine run as fallback. A configurable sample of analytic
-/// answers is cross-checked against the engine (the sampled DES audit).
+/// Solve a `/plan` request: the planner runs once, and its prototype
+/// serves every later step. The oracle derived from it decides the
+/// analytic fast path when it makes an exact claim — the error-free,
+/// declared-speed plan run is exactly the deterministic model-conforming
+/// case the closed forms answer — with the full-trace engine run as
+/// fallback, whose body reports the same oracle's prediction. A
+/// configurable sample of analytic answers is cross-checked against the
+/// engine (the sampled DES audit).
 fn build_plan(shared: &Shared, plan: &PlanRequest, key: &str) -> Result<CachedPlan, PlanFailure> {
     let prototype = plan
         .kind
         .prototype(&plan.platform, plan.w_total)
         .map_err(|e| (400u16, "Bad Request", format!("planner: {e}")))?;
+    let oracle = prototype.oracle(&plan.platform, plan.w_total);
     let scenario = Scenario {
         platform: plan.platform.clone(),
         w_total: plan.w_total,
@@ -712,25 +715,25 @@ fn build_plan(shared: &Shared, plan: &PlanRequest, key: &str) -> Result<CachedPl
         cost_profile: None,
         temporal_noise: None,
     };
-    let probe = rumr::RunSpec::new(plan.kind);
-    let decision = FastPath::resolve_kind(&scenario, &probe, plan.kind)
-        .map_err(|e| (400u16, "Bad Request", format!("oracle: {e}")))?;
-    if let Some(answer) = decision.analytic() {
-        shared.metrics.fastpath_analytic();
-        if FastPath::audit_due(key, shared.config.fastpath_audit_pct) {
-            shared.metrics.fastpath_audited();
-            let audit_spec = rumr::RunSpec::new(plan.kind)
-                .max_events(shared.config.max_events)
-                .with_prototype(prototype.clone());
-            audit_analytic(shared, &scenario, &audit_spec, answer);
+    let miss = match FastPath::decide(oracle.as_deref()) {
+        FastPathDecision::Analytic(answer) => {
+            shared.metrics.fastpath_analytic();
+            if FastPath::audit_due(key, shared.config.fastpath_audit_pct) {
+                shared.metrics.fastpath_audited();
+                let audit_spec = rumr::RunSpec::new(plan.kind)
+                    .max_events(shared.config.max_events)
+                    .with_prototype(prototype.clone());
+                audit_analytic(shared, &scenario, &audit_spec, &answer);
+            }
+            return Ok(CachedPlan {
+                prototype,
+                body: plan_body_analytic(plan, &answer),
+                source: "analytic",
+            });
         }
-        return Ok(CachedPlan {
-            prototype,
-            body: plan_body_analytic(plan, answer),
-            source: "analytic",
-        });
-    }
-    shared.metrics.fastpath_engine();
+        FastPathDecision::Engine(miss) => miss,
+    };
+    shared.metrics.fastpath_miss(miss);
     let spec = rumr::RunSpec::new(plan.kind)
         .trace_mode(TraceMode::Full)
         .max_events(shared.config.max_events)
@@ -743,10 +746,6 @@ fn build_plan(shared: &Shared, plan: &PlanRequest, key: &str) -> Result<CachedPl
         ),
         other => (500u16, "Internal Server Error", other.to_string()),
     })?;
-    let oracle = plan
-        .kind
-        .oracle(&plan.platform, plan.w_total)
-        .map_err(|e| (400u16, "Bad Request", format!("oracle: {e}")))?;
     let prediction = oracle.map(|o| o.makespan());
     Ok(CachedPlan {
         prototype,
@@ -1186,43 +1185,59 @@ fn jobs_body(id: usize, spec: &rumr::MultiRunSpec, result: &MultiRunResult) -> S
 /// `POST /simulate`: answer eligible runs from the analytic fast path,
 /// else serve from the response cache if possible, else dispatch to the
 /// scenario's engine shard and relay its outcome.
-fn handle_simulate(shared: &Shared, stream: &mut TcpStream, sim: Box<SimulateRequest>, keep: bool) {
+fn handle_simulate(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    mut sim: Box<SimulateRequest>,
+    keep: bool,
+) {
     let start = Instant::now();
     // Analytic fast path: deterministic model-conforming runs with an
-    // exact oracle skip the cache and the shards entirely — resolving is
-    // microseconds, so caching analytic answers would only pollute the
-    // LRU. Build errors fall through: the shard produces the identical
-    // planner 400 the engine path always has.
-    if let Ok(decision) = FastPath::resolve(&sim.scenario, &sim.spec) {
-        if let Some(answer) = decision.analytic() {
-            shared.metrics.fastpath_analytic();
-            test_delay(shared);
-            if FastPath::audit_due(&sim.canonical(), shared.config.fastpath_audit_pct) {
-                shared.metrics.fastpath_audited();
-                let mut audit_spec = sim.spec.clone();
-                audit_spec.config = effective_config(shared, &audit_spec);
-                audit_analytic(shared, &sim.scenario, &audit_spec, answer);
+    // exact oracle skip the cache and the shards entirely. An ineligible
+    // run costs only the eligibility checks here; an eligible one solves
+    // its planner once, and a run the oracle cannot answer takes that
+    // prototype to the shard. Build errors fall through: the shard
+    // produces the identical planner 400 the engine path always has.
+    if let Ok((decision, prototype)) =
+        FastPath::resolve_planned(&sim.scenario, &sim.spec, sim.spec.kind)
+    {
+        match decision {
+            FastPathDecision::Analytic(answer) => {
+                shared.metrics.fastpath_analytic();
+                test_delay(shared);
+                if FastPath::audit_due(&sim.canonical(), shared.config.fastpath_audit_pct) {
+                    shared.metrics.fastpath_audited();
+                    let mut audit_spec = sim.spec.clone();
+                    audit_spec.config = effective_config(shared, &audit_spec);
+                    audit_spec.prototype = prototype;
+                    audit_analytic(shared, &sim.scenario, &audit_spec, &answer);
+                }
+                let body = simulate_body_analytic(&sim.spec, &answer);
+                let _ = write_response(
+                    stream,
+                    200,
+                    "OK",
+                    "application/json",
+                    body.as_bytes(),
+                    &["X-Answer-Source: analytic"],
+                    keep,
+                );
+                shared
+                    .metrics
+                    .observe("/simulate", 200, start.elapsed().as_secs_f64());
+                return;
             }
-            let body = simulate_body_analytic(&sim.spec, answer);
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                "application/json",
-                body.as_bytes(),
-                &["X-Answer-Source: analytic"],
-                keep,
-            );
-            shared
-                .metrics
-                .observe("/simulate", 200, start.elapsed().as_secs_f64());
-            return;
+            FastPathDecision::Engine(miss) => {
+                shared.metrics.fastpath_miss(miss);
+                sim.spec.prototype = prototype;
+            }
         }
-        shared.metrics.fastpath_engine();
     }
+    // Every key below is composed around this one render of the platform.
+    let keys = sim.keys();
     let cache_on = shared.config.sim_cache_capacity > 0;
     let key = if cache_on {
-        let key = sim.canonical();
+        let key = keys.canonical();
         if let Some(body) = shared.sim_cache.get(&key) {
             shared.metrics.sim_cache_hit();
             let _ = write_response(
@@ -1245,13 +1260,15 @@ fn handle_simulate(shared: &Shared, stream: &mut TcpStream, sim: Box<SimulateReq
         None
     };
 
-    let idx = shard_index(&sim.scenario_key(), shared.shards.len());
+    let idx = shard_index(&keys.scenario_key(), shared.shards.len());
+    let plan_key = sim.spec.prototype.is_none().then(|| keys.plan_key());
     shared.metrics.observe_shard(idx);
     let reply = Arc::new(Reply::default());
     shared.shards.submit(
         idx,
         ShardJob {
             sim,
+            plan_key,
             reply: Arc::clone(&reply),
         },
     );
@@ -1328,12 +1345,12 @@ fn shard_streak(shared: &Shared, idx: usize, job: ShardJob) -> Option<ShardJob> 
     let scenario = job.sim.scenario.clone();
     let mut runner = scenario.runner(effective_config(shared, &job.sim.spec));
     let reply = Arc::clone(&job.reply);
-    reply.set(simulate_outcome(shared, *job.sim, &mut runner));
+    reply.set(simulate_outcome(shared, job, &mut runner));
     loop {
         let job = shared.shards.pop(idx, &shared.shutdown)?;
         if same_scenario(&scenario, &job.sim.scenario) {
             let reply = Arc::clone(&job.reply);
-            reply.set(simulate_outcome(shared, *job.sim, &mut runner));
+            reply.set(simulate_outcome(shared, job, &mut runner));
         } else {
             return Some(job);
         }
@@ -1344,33 +1361,32 @@ fn shard_streak(shared: &Shared, idx: usize, job: ShardJob) -> Option<ShardJob> 
 /// outcome the HTTP worker will write.
 fn simulate_outcome(
     shared: &Shared,
-    mut sim: SimulateRequest,
+    job: ShardJob,
     runner: &mut rumr::ScenarioRunner<'_>,
 ) -> Outcome {
     // On the shard so it emulates engine time: serialized per shard
     // (cache hits skip it), parallel across shards and processes.
     test_delay(shared);
+    let mut spec = job.sim.spec;
     // Reuse a cached prototype when /plan has already solved this
     // (platform, workload, scheduler) triple.
-    if sim.spec.prototype.is_none() {
-        if let Some(cached) = shared.cache.get(&sim.plan_key()) {
-            sim.spec = sim.spec.with_prototype(cached.prototype.clone());
-        }
+    if let Some(cached) = job.plan_key.and_then(|key| shared.cache.get(&key)) {
+        spec.prototype = Some(cached.prototype.clone());
     }
-    let mut spec = sim.spec;
     spec.config = effective_config(shared, &spec);
 
     match run_reps(runner, &spec) {
         Ok(cols) => {
-            // Per-run robustness reports when the request revealed speeds
-            // (clairvoyant twins are replanned on the realized platform).
-            let robustness: Vec<RobustnessReport> = if spec.config.speeds.is_active() {
-                spec.seeds()
+            // Per-run robustness reports when the request revealed speeds:
+            // the clairvoyant twins are planned once on the realized
+            // platform, which every repetition shares.
+            let robustness: Vec<RobustnessReport> = match runner.scenario().clairvoyant(&spec) {
+                Some(twins) => spec
+                    .seeds()
                     .zip(cols.makespan.iter())
-                    .filter_map(|(seed, &m)| runner.scenario().robustness(&spec, seed, m))
-                    .collect()
-            } else {
-                Vec::new()
+                    .map(|(seed, &m)| twins.report(seed, m))
+                    .collect(),
+                None => Vec::new(),
             };
             Outcome {
                 status: 200,

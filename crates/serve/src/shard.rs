@@ -27,6 +27,9 @@ use crate::sync::{lock, wait_timeout};
 pub(crate) struct ShardJob {
     /// The decoded request.
     pub sim: Box<SimulateRequest>,
+    /// The request's plan cache key, composed by the HTTP worker; `None`
+    /// when the spec already carries a solved prototype.
+    pub plan_key: Option<String>,
     /// Where the shard deposits the outcome.
     pub reply: std::sync::Arc<Reply>,
 }

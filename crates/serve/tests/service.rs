@@ -6,6 +6,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use dls_serve::{Server, ServerConfig};
+use rumr::FastPathMiss;
 
 fn start(config: ServerConfig) -> dls_serve::server::ServerHandle {
     Server::start(config).expect("server binds")
@@ -592,3 +593,72 @@ fn extract_num(body: &str, key: &str) -> f64 {
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("no {key} in {body}"))
 }
+
+#[test]
+fn fastpath_misses_are_counted_by_reason() {
+    let server = start(quiet_config());
+    // A noisy /simulate is declined for its prediction errors.
+    let (status, _, body) = request(server.addr, "POST", "/simulate", SIMULATE);
+    assert_eq!(status, 200, "body: {body}");
+    // MI-3 with latencies: its oracle claims only a lower bound.
+    let mi = PLAN.replace(r#"{"kind": "umr"}"#, r#"{"kind": "mi", "installments": 3}"#);
+    let (status, head, body) = request(server.addr, "POST", "/plan", &mi);
+    assert_eq!(status, 200, "body: {body}");
+    assert!(head.contains("X-Answer-Source: engine"), "head: {head}");
+    // GSS has no oracle at all.
+    let gss = PLAN.replace(r#"{"kind": "umr"}"#, r#"{"kind": "gss"}"#);
+    let (status, head, body) = request(server.addr, "POST", "/plan", &gss);
+    assert_eq!(status, 200, "body: {body}");
+    assert!(head.contains("X-Answer-Source: engine"), "head: {head}");
+
+    let m = server.metrics();
+    assert_eq!(m.fastpath_miss_total(FastPathMiss::PredictionErrors), 1);
+    assert_eq!(m.fastpath_miss_total(FastPathMiss::InexactOracle), 1);
+    assert_eq!(m.fastpath_miss_total(FastPathMiss::NoOracle), 1);
+    assert_eq!(m.fastpath_engine_total(), 3);
+    let (_, _, metrics) = request(server.addr, "GET", "/metrics", "");
+    for line in [
+        "dls_serve_fastpath_miss_total{reason=\"prediction_errors\"} 1",
+        "dls_serve_fastpath_miss_total{reason=\"inexact_oracle\"} 1",
+        "dls_serve_fastpath_miss_total{reason=\"no_oracle\"} 1",
+        "dls_serve_fastpath_miss_total{reason=\"faults\"} 0",
+        "dls_serve_fastpath_engine_total 3",
+    ] {
+        assert!(metrics.lines().any(|l| l == line), "{line} in {metrics}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn planner_rejections_of_ineligible_runs_come_from_the_engine_path() {
+    // The fast path runs no planner for a noisy run, so the MI planner's
+    // refusal of zero installments surfaces from the shard, with the same
+    // 400 as ever, and the request counts as an engine answer.
+    let server = start(quiet_config());
+    let bad = SIMULATE.replace(
+        r#"{"kind": "rumr", "error_estimate": 0.3}"#,
+        r#"{"kind": "mi", "installments": 0}"#,
+    );
+    let (status, _, body) = request(server.addr, "POST", "/simulate", &bad);
+    assert_eq!(status, 400, "body: {body}");
+    assert_eq!(body, ZERO_INSTALLMENTS_BODY);
+    assert_eq!(
+        server
+            .metrics()
+            .fastpath_miss_total(FastPathMiss::PredictionErrors),
+        1
+    );
+    // The same request without noise is eligible: its planner runs on
+    // the fast path, and the refusal is identical.
+    let eligible = bad
+        .replace(r#""error": 0.3"#, r#""error": 0"#)
+        .replace(r#"{"kind": "normal""#, r#"{"kind": "none""#);
+    let (status, _, body) = request(server.addr, "POST", "/simulate", &eligible);
+    assert_eq!(status, 400, "body: {body}");
+    assert_eq!(body, ZERO_INSTALLMENTS_BODY);
+    server.shutdown();
+}
+
+/// The 400 body for an MI run with zero installments, on either path.
+const ZERO_INSTALLMENTS_BODY: &str = "{\"api_version\":\"v1\",\"code\":\"bad_request\",\
+    \"error\":\"planner: MI planner: installment count must be >= 1\",\"detail\":null}";

@@ -7,9 +7,14 @@
 //! within the oracle's stated tolerance; whenever it declines, the reason
 //! must be the first failed eligibility condition.
 
+use dls_sched::{
+    FactoringOracle, HetUmr, HetUmrOracle, MiOracle, MultiInstallment, OneRound, OneRoundOracle,
+    Oracle, Prediction, Rumr, RumrOracle, Umr, UmrOracle,
+};
 use proptest::prelude::*;
 use rumr::{
-    FastPath, FastPathDecision, FastPathMiss, RumrConfig, RunSpec, Scenario, SchedulerKind,
+    FastPath, FastPathDecision, FastPathMiss, Platform, RumrConfig, RunSpec, Scenario,
+    SchedulerKind, WorkerSpec,
 };
 
 /// Every scheduler kind the service can be asked for (all 13 variants).
@@ -49,8 +54,136 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         })
 }
 
+/// A Table 1 platform (`skew == 0`) or a heterogeneous star whose worker
+/// speeds, links and latencies spread with `skew`, plus a workload.
+fn platform_strategy() -> impl Strategy<Value = (Platform, f64)> {
+    (
+        2usize..=8,       // workers
+        1.1f64..=3.0,     // bandwidth ratio
+        0.0f64..=0.8,     // cLat
+        0.0f64..=0.8,     // nLat
+        100.0f64..=400.0, // workload
+        0u32..3,          // 0: homogeneous
+        0.1f64..=1.0,     // heterogeneity skew
+    )
+        .prop_map(|(n, ratio, clat, nlat, w, shape, skew)| {
+            let skew = if shape == 0 { 0.0 } else { skew };
+            let workers = (0..n)
+                .map(|i| {
+                    let f = i as f64 / n as f64;
+                    let speed = 1.0 + skew * (f - 0.5);
+                    WorkerSpec {
+                        speed,
+                        bandwidth: ratio * n as f64 * speed * (1.0 + skew * (0.5 - f) * 0.5),
+                        comp_latency: clat * (1.0 + skew * f),
+                        net_latency: nlat,
+                        transfer_latency: 0.0,
+                    }
+                })
+                .collect();
+            (Platform::new(workers).expect("valid platform"), w)
+        })
+}
+
+/// The reference oracle: a fresh planner solve wrapped in the kind's
+/// oracle type, with no prototype involved. `None` for kinds without an
+/// oracle and for planners that reject the inputs.
+fn fresh_planner_oracle(kind: SchedulerKind, p: &Platform, w: f64) -> Option<Box<dyn Oracle>> {
+    Some(match kind {
+        SchedulerKind::Umr => Box::new(UmrOracle::new(Umr::new(p, w).ok()?.schedule().clone())),
+        SchedulerKind::Rumr(cfg) => Box::new(RumrOracle::new(&Rumr::new(p, w, cfg).ok()?, p)),
+        SchedulerKind::Mi { installments } => {
+            let mi = MultiInstallment::new(p, w, installments).ok()?;
+            Box::new(MiOracle::new(mi.schedule().clone(), p))
+        }
+        SchedulerKind::Factoring => Box::new(FactoringOracle::from_platform(p, w)),
+        SchedulerKind::HetUmr => Box::new(HetUmrOracle::new(
+            HetUmr::new(p, w).ok()?.schedule().clone(),
+        )),
+        SchedulerKind::OneRound => Box::new(OneRoundOracle::new(
+            OneRound::new(p, w).ok()?.schedule().clone(),
+        )),
+        _ => return None,
+    })
+}
+
+/// A prediction as (variant, makespan bits, tolerance bits).
+fn prediction_bits(p: Prediction) -> (u8, Option<u64>, Option<u64>) {
+    let variant = match p {
+        Prediction::Exact { .. } => 0,
+        Prediction::LowerBound { .. } => 1,
+        Prediction::Unavailable => 2,
+    };
+    (
+        variant,
+        p.makespan().map(f64::to_bits),
+        p.tolerance().map(f64::to_bits),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An oracle derived from a solved prototype is bit-identical to one
+    /// built around a fresh planner solve, for the six oracle kinds; the
+    /// other seven kinds have none.
+    #[test]
+    fn prototype_oracles_match_fresh_planner_oracles(
+        (platform, w) in platform_strategy(),
+        error in 0.0f64..=0.5,
+    ) {
+        let mut with_oracle = 0;
+        for kind in all_kinds(error).into_iter().chain([
+            SchedulerKind::Mi { installments: 4 },
+            SchedulerKind::rumr_fixed_fraction(0.6, None),
+        ]) {
+            // Homogeneous-only planners refuse heterogeneous platforms;
+            // that refusal is the prototype's, tested elsewhere.
+            let Ok(prototype) = kind.prototype(&platform, w) else { continue };
+            let derived = prototype.oracle(&platform, w);
+            let fresh = fresh_planner_oracle(kind, &platform, w);
+            match (derived, fresh) {
+                (None, None) => {}
+                (Some(derived), Some(fresh)) => {
+                    with_oracle += 1;
+                    prop_assert_eq!(derived.name(), fresh.name(), "{}", kind);
+                    prop_assert_eq!(
+                        prediction_bits(derived.makespan()),
+                        prediction_bits(fresh.makespan()),
+                        "{}",
+                        kind
+                    );
+                    prop_assert_eq!(
+                        derived.planned_work().to_bits(),
+                        fresh.planned_work().to_bits(),
+                        "{}",
+                        kind
+                    );
+                    prop_assert_eq!(derived.round_timeline(), fresh.round_timeline(), "{}", kind);
+                    // The kind's own oracle is the derived one.
+                    let via_kind = kind
+                        .oracle(&platform, w)
+                        .unwrap_or_else(|e| panic!("{kind}: {e}"))
+                        .expect("an oracle kind");
+                    prop_assert_eq!(
+                        prediction_bits(via_kind.makespan()),
+                        prediction_bits(fresh.makespan()),
+                        "{}",
+                        kind
+                    );
+                }
+                (derived, fresh) => {
+                    return Err(TestCaseError::fail(format!(
+                        "{kind}: derived oracle {} but fresh {}",
+                        derived.is_some(),
+                        fresh.is_some()
+                    )))
+                }
+            }
+        }
+        // Factoring and HetUmr build on every platform.
+        prop_assert!(with_oracle >= 2, "only {} oracle kinds built", with_oracle);
+    }
 
     /// Whenever the fast path answers, the engine agrees — for all 13
     /// scheduler kinds.

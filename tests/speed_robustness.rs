@@ -12,7 +12,10 @@
 //!   and the pinned golden makespans still hold with it switched on.
 
 use proptest::prelude::*;
-use rumr::{RumrConfig, RunSpec, Scenario, SchedulerKind, SimConfig, SpeedModel, TraceMode};
+use rumr::{
+    FaultModel, FaultPlan, RecoveryConfig, RobustnessReport, RumrConfig, RunSpec, Scenario,
+    SchedulerKind, SimConfig, SpeedModel, TraceMode,
+};
 
 /// Random-but-sane Table-1-style scenario (kept small for debug builds).
 fn scenario_strategy() -> impl Strategy<Value = (Scenario, f64)> {
@@ -68,6 +71,58 @@ fn profile_strategy() -> impl Strategy<Value = SpeedModel> {
         })
 }
 
+/// The report of the repetition at `seed`, with each clairvoyant twin
+/// planned fresh on the realized platform (no prototype) and run on a
+/// fresh engine.
+fn fresh_twins_report(
+    scenario: &Scenario,
+    spec: &RunSpec,
+    seed: u64,
+    realized_makespan: f64,
+) -> RobustnessReport {
+    let platform = spec
+        .config
+        .speeds
+        .realized_platform(&scenario.platform)
+        .unwrap();
+    let clairvoyant = Scenario {
+        platform,
+        ..scenario.clone()
+    };
+    let twin = RunSpec {
+        prototype: None,
+        ..spec.clone().seed(seed).reps(1).speeds(SpeedModel::Declared)
+    };
+    let het_twin = RunSpec {
+        kind: SchedulerKind::HetUmr,
+        ..twin.clone()
+    };
+    let replanned_makespan = [twin, het_twin]
+        .iter()
+        .filter_map(|t| clairvoyant.execute(t).ok())
+        .map(|r| r.makespan)
+        .reduce(f64::min);
+    let clairvoyant_makespan =
+        replanned_makespan.map_or(realized_makespan, |m| m.min(realized_makespan));
+    RobustnessReport {
+        realized_makespan,
+        replanned_makespan,
+        clairvoyant_makespan,
+        ratio: realized_makespan / clairvoyant_makespan,
+        analytic_lower_bound: clairvoyant.platform.makespan_lower_bound(scenario.w_total),
+    }
+}
+
+fn report_bits(r: &RobustnessReport) -> [Option<u64>; 5] {
+    [
+        Some(r.realized_makespan.to_bits()),
+        r.replanned_makespan.map(f64::to_bits),
+        Some(r.clairvoyant_makespan.to_bits()),
+        Some(r.ratio.to_bits()),
+        Some(r.analytic_lower_bound.to_bits()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -105,6 +160,28 @@ proptest! {
                 "{kind}: bad analytic bound {}",
                 report.analytic_lower_bound
             );
+            // Twins planned once report every repetition's exact bits,
+            // also when the engine configuration and recovery matter.
+            let faulty = spec
+                .clone()
+                .faults(FaultModel::Plan(FaultPlan::new().crash_recover(20.0, 0, 15.0)))
+                .recovering(RecoveryConfig::default());
+            for spec in [spec, faulty] {
+                let twins = scenario.clairvoyant(&spec).expect("profile is active");
+                for rep_seed in seed..seed + 3 {
+                    let Ok(realized) = scenario.execute(&spec.clone().seed(rep_seed)) else {
+                        continue;
+                    };
+                    prop_assert_eq!(
+                        report_bits(&twins.report(rep_seed, realized.makespan)),
+                        report_bits(&fresh_twins_report(&scenario, &spec, rep_seed, realized.makespan)),
+                        "{} ({}) seed {}",
+                        kind,
+                        profile.label(),
+                        rep_seed
+                    );
+                }
+            }
         }
     }
 
