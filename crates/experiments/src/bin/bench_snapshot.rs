@@ -165,8 +165,8 @@ fn main() {
 
 /// Report the aggregate batched-vs-sequential factor of a snapshot
 /// document and apply the optional `--assert-batched-speedup` gate.
-/// A document without comparable rows (pre-v4) only fails when the gate
-/// is armed.
+/// A document without both sequential and batched rows only fails when
+/// the gate is armed.
 fn gate_batched(json: &str, min: Option<f64>) -> bool {
     match batched_speedup_from_json(json) {
         Ok(speedup) => {

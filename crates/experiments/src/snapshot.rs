@@ -27,14 +27,9 @@ use crate::grid::Table1Grid;
 use crate::json::{json_escape, json_num, parse_json, Json};
 use crate::sweep::{run_sweep, Competitor, ErrorModelKind, SweepConfig};
 
-/// Version of the `BENCH_sim.json` schema this module writes.
-/// [`validate_snapshot_json`] still accepts version-1 documents (which
-/// predate the `queue` case field and the `sweep_threads` machine field),
-/// version-2 documents (which predate the `speed_robust` section),
-/// version-3 documents (which predate the per-case `mode` field and the
-/// `fastpath` section) and version-4 documents (whose cases still name
-/// the event-queue backend they ran on; version 5 dropped that field when
-/// the engine kept a single queue).
+/// Version of the `BENCH_sim.json` schema this module writes, and the only
+/// one [`validate_snapshot_json`] accepts. Documents of earlier versions
+/// live in the repository's history.
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// Error magnitude used by every pinned case.
@@ -67,7 +62,7 @@ impl SnapshotConfig {
     }
 }
 
-/// How a case's repetitions were driven through the engine (schema v4).
+/// How a case's repetitions were driven through the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CaseMode {
     /// One [`rumr::ScenarioRunner::execute_at`] call per seed — the
@@ -171,7 +166,7 @@ pub struct Snapshot {
 }
 
 /// Throughput of the analytic fast path against the engine on one pinned
-/// error-free case (schema v4 `fastpath` section).
+/// error-free case (the `fastpath` section).
 #[derive(Debug, Clone)]
 pub struct FastPathRow {
     /// Case label, `<platform>/<scheduler>`.
@@ -787,22 +782,15 @@ fn require_str<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, Strin
 /// Validate a `BENCH_sim.json` document against the snapshot schema.
 /// Checks structure and value sanity (positive timings, non-empty case
 /// list), not timing thresholds.
-///
-/// Accepts the current version-5 schema and the legacy versions 1
-/// (pre-`queue`/`sweep_threads`), 2 (pre-`speed_robust`), 3
-/// (pre-`mode`/`fastpath`) and 4 (with the per-case `queue` field), so
-/// tooling can still check committed historical snapshots.
+/// Only [`SCHEMA_VERSION`] is accepted.
 pub fn validate_snapshot_json(text: &str) -> Result<(), String> {
     let doc = parse_json(text)?;
     let version = require_num(&doc, "schema_version", "root")?;
-    if ![1.0, 2.0, 3.0, 4.0, SCHEMA_VERSION as f64].contains(&version) {
+    if version != SCHEMA_VERSION as f64 {
         return Err(format!(
-            "unsupported schema_version {version} (expected 1 to {SCHEMA_VERSION})"
+            "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
         ));
     }
-    let v2 = version >= 2.0;
-    let v3 = version >= 3.0;
-    let v4 = version >= 4.0;
     require_num(&doc, "created_unix", "root")?;
     require_num(&doc, "peak_rss_bytes", "root")?;
     require_str(&doc, "commit", "root")?;
@@ -810,17 +798,12 @@ pub fn validate_snapshot_json(text: &str) -> Result<(), String> {
         .get("machine")
         .ok_or_else(|| "root: missing 'machine'".to_string())?;
     require_str(machine, "host", "machine")?;
-    let cpus = require_num(machine, "cpus", "machine")?;
-    if v2 {
-        // v2: 0 is the explicit "unknown" sentinel; v1 fabricated 1.
-        if cpus < 0.0 {
-            return Err("machine: cpus must be >= 0".into());
-        }
-        if require_num(machine, "sweep_threads", "machine")? < 1.0 {
-            return Err("machine: sweep_threads must be >= 1".into());
-        }
-    } else if cpus < 1.0 {
-        return Err("machine: cpus must be >= 1".into());
+    // 0 is the explicit "unknown" sentinel.
+    if require_num(machine, "cpus", "machine")? < 0.0 {
+        return Err("machine: cpus must be >= 0".into());
+    }
+    if require_num(machine, "sweep_threads", "machine")? < 1.0 {
+        return Err("machine: sweep_threads must be >= 1".into());
     }
 
     let cases = match doc.get("cases") {
@@ -836,17 +819,9 @@ pub fn validate_snapshot_json(text: &str) -> Result<(), String> {
         if name.split('/').count() != 3 {
             return Err(format!("{ctx}: name '{name}' is not platform/sched/faults"));
         }
-        if v2 && version < 5.0 {
-            let queue = require_str(case, "queue", &ctx)?;
-            if !matches!(queue, "heap" | "calendar") {
-                return Err(format!("{ctx}: unknown queue backend '{queue}'"));
-            }
-        }
-        if v4 {
-            let mode = require_str(case, "mode", &ctx)?;
-            if CaseMode::parse(mode).is_none() {
-                return Err(format!("{ctx}: unknown case mode '{mode}'"));
-            }
+        let mode = require_str(case, "mode", &ctx)?;
+        if CaseMode::parse(mode).is_none() {
+            return Err(format!("{ctx}: unknown case mode '{mode}'"));
         }
         for key in ["runs", "events", "wall_s", "ns_per_event", "runs_per_sec"] {
             if require_num(case, key, &ctx)? <= 0.0 {
@@ -856,56 +831,52 @@ pub fn validate_snapshot_json(text: &str) -> Result<(), String> {
         require_num(case, "mean_makespan", &ctx)?;
     }
 
-    if v4 {
-        let rows = match doc.get("fastpath") {
-            Some(Json::Arr(rows)) => rows,
-            _ => return Err("root: missing or non-array 'fastpath'".into()),
-        };
-        if rows.is_empty() {
-            return Err("fastpath: must not be empty".into());
+    let rows = match doc.get("fastpath") {
+        Some(Json::Arr(rows)) => rows,
+        _ => return Err("root: missing or non-array 'fastpath'".into()),
+    };
+    if rows.is_empty() {
+        return Err("fastpath: must not be empty".into());
+    }
+    for (i, row) in rows.iter().enumerate() {
+        let ctx = format!("fastpath[{i}]");
+        let name = require_str(row, "name", &ctx)?;
+        if name.split('/').count() != 2 {
+            return Err(format!("{ctx}: name '{name}' is not platform/sched"));
         }
-        for (i, row) in rows.iter().enumerate() {
-            let ctx = format!("fastpath[{i}]");
-            let name = require_str(row, "name", &ctx)?;
-            if name.split('/').count() != 2 {
-                return Err(format!("{ctx}: name '{name}' is not platform/sched"));
+        for key in ["answers", "ns_per_answer", "engine_ns_per_run", "speedup"] {
+            if require_num(row, key, &ctx)? <= 0.0 {
+                return Err(format!("{ctx}: field '{key}' must be positive"));
             }
-            for key in ["answers", "ns_per_answer", "engine_ns_per_run", "speedup"] {
-                if require_num(row, key, &ctx)? <= 0.0 {
-                    return Err(format!("{ctx}: field '{key}' must be positive"));
-                }
-            }
-            let residual = require_num(row, "residual", &ctx)?;
-            // The section only exists for cases with an exact oracle; a
-            // residual past a loose sanity bound means the fast path and
-            // the engine have drifted apart.
-            if !(0.0..=1e-3).contains(&residual) {
-                return Err(format!("{ctx}: residual {residual} out of range"));
-            }
+        }
+        let residual = require_num(row, "residual", &ctx)?;
+        // The section only exists for cases with an exact oracle; a
+        // residual past a loose sanity bound means the fast path and
+        // the engine have drifted apart.
+        if !(0.0..=1e-3).contains(&residual) {
+            return Err(format!("{ctx}: residual {residual} out of range"));
         }
     }
 
-    if v3 {
-        let rows = match doc.get("speed_robust") {
-            Some(Json::Arr(rows)) => rows,
-            _ => return Err("root: missing or non-array 'speed_robust'".into()),
-        };
-        if rows.is_empty() {
-            return Err("speed_robust: must not be empty".into());
+    let rows = match doc.get("speed_robust") {
+        Some(Json::Arr(rows)) => rows,
+        _ => return Err("root: missing or non-array 'speed_robust'".into()),
+    };
+    if rows.is_empty() {
+        return Err("speed_robust: must not be empty".into());
+    }
+    for (i, row) in rows.iter().enumerate() {
+        let ctx = format!("speed_robust[{i}]");
+        require_str(row, "profile", &ctx)?;
+        require_str(row, "scheduler", &ctx)?;
+        let ratio = require_num(row, "mean_ratio", &ctx)?;
+        // The clairvoyant reference can never lose to the blind run
+        // it references; a ratio below 1 means the metric is broken.
+        if ratio < 1.0 - 1e-6 {
+            return Err(format!("{ctx}: mean_ratio {ratio} is below 1"));
         }
-        for (i, row) in rows.iter().enumerate() {
-            let ctx = format!("speed_robust[{i}]");
-            require_str(row, "profile", &ctx)?;
-            require_str(row, "scheduler", &ctx)?;
-            let ratio = require_num(row, "mean_ratio", &ctx)?;
-            // The clairvoyant reference can never lose to the blind run
-            // it references; a ratio below 1 means the metric is broken.
-            if ratio < 1.0 - 1e-6 {
-                return Err(format!("{ctx}: mean_ratio {ratio} is below 1"));
-            }
-            if require_num(row, "mean_makespan", &ctx)? <= 0.0 {
-                return Err(format!("{ctx}: mean_makespan must be positive"));
-            }
+        if require_num(row, "mean_makespan", &ctx)? <= 0.0 {
+            return Err(format!("{ctx}: mean_makespan must be positive"));
         }
     }
 
@@ -925,7 +896,7 @@ pub fn validate_snapshot_json(text: &str) -> Result<(), String> {
 /// over the batched ones. The two modes run identical work (same cases,
 /// same seeds, same event counts — enforced by the snapshot tests), so
 /// the wall-time ratio *is* the throughput ratio. Errors when the
-/// document has no rows of either mode (pre-v4 snapshots).
+/// document lacks rows of either mode.
 pub fn batched_speedup_from_json(text: &str) -> Result<f64, String> {
     let doc = parse_json(text)?;
     let cases = match doc.get("cases") {
@@ -997,11 +968,6 @@ mod tests {
         }
     }
 
-    /// `json` as a pre-v5 writer emitted it: every case names its queue.
-    fn with_queue(json: &str) -> String {
-        json.replace("\"mode\": ", "\"queue\": \"calendar\", \"mode\": ")
-    }
-
     #[test]
     fn emitted_json_round_trips_validation() {
         let json = dummy_snapshot().to_json();
@@ -1012,10 +978,14 @@ mod tests {
     fn validator_rejects_broken_documents() {
         assert!(validate_snapshot_json("not json").is_err());
         assert!(validate_snapshot_json("{}").is_err());
-        // Wrong schema version.
-        let mut snap = dummy_snapshot();
-        snap.schema_version = 99;
-        assert!(validate_snapshot_json(&snap.to_json()).is_err());
+        // Any schema version but the current one, the superseded 1 to 4
+        // included, even when the rest of the document is current.
+        for version in [1, 2, 3, 4, 99] {
+            let mut snap = dummy_snapshot();
+            snap.schema_version = version;
+            let err = validate_snapshot_json(&snap.to_json()).unwrap_err();
+            assert!(err.contains("unsupported schema_version"), "{err}");
+        }
         // Empty case list.
         let mut snap = dummy_snapshot();
         snap.cases.clear();
@@ -1028,25 +998,25 @@ mod tests {
         let mut snap = dummy_snapshot();
         snap.cases[0].name = "plain".into();
         assert!(validate_snapshot_json(&snap.to_json()).is_err());
-        // v3: a robustness ratio below 1 is a broken metric.
+        // A robustness ratio below 1 is a broken metric.
         let mut snap = dummy_snapshot();
         snap.speed_robust[0].mean_ratio = 0.93;
         assert!(validate_snapshot_json(&snap.to_json()).is_err());
-        // v3: the speed_robust section is mandatory and non-empty.
+        // The speed_robust section is mandatory and non-empty.
         let mut snap = dummy_snapshot();
         snap.speed_robust.clear();
         assert!(validate_snapshot_json(&snap.to_json()).is_err());
-        // v4: case rows must carry a known repetition mode.
+        // Case rows must carry a known repetition mode.
         let snap = dummy_snapshot();
         let missing_mode = snap.to_json().replace("\"mode\": \"sequential\", ", "");
         assert!(validate_snapshot_json(&missing_mode).is_err());
         let bad_mode = snap.to_json().replace("\"sequential\"", "\"vectorized\"");
         assert!(validate_snapshot_json(&bad_mode).is_err());
-        // v4: the fastpath section is mandatory and non-empty.
+        // The fastpath section is mandatory and non-empty.
         let mut snap = dummy_snapshot();
         snap.fastpath.clear();
         assert!(validate_snapshot_json(&snap.to_json()).is_err());
-        // v4: an analytic answer that drifted from the engine is rejected.
+        // An analytic answer that drifted from the engine is rejected.
         let mut snap = dummy_snapshot();
         snap.fastpath[0].residual = 0.02;
         assert!(validate_snapshot_json(&snap.to_json()).is_err());
@@ -1066,48 +1036,6 @@ mod tests {
         // Numbers whose text parses to f64 infinity are rejected too.
         let huge = dummy_snapshot().to_json().replace("63.5", "1e999");
         assert!(validate_snapshot_json(&huge).is_err());
-    }
-
-    #[test]
-    fn validator_accepts_legacy_v1_documents() {
-        // A pre-queue-backend snapshot: no per-case 'queue', no machine
-        // 'sweep_threads', cpus >= 1 required.
-        let v1 = r#"{
-          "schema_version": 1,
-          "created_unix": 1700000000,
-          "machine": {"host": "old", "cpus": 4},
-          "commit": "abc",
-          "peak_rss_bytes": 0,
-          "cases": [
-            {"name": "homogeneous/umr/fault-free", "runs": 2, "events": 100,
-             "wall_s": 0.01, "ns_per_event": 100.0, "runs_per_sec": 200.0,
-             "mean_makespan": 63.5}
-          ],
-          "sweep": {"cells": 12, "reps": 2, "off_s": 0.1, "full_s": 0.2, "speedup": 2.0}
-        }"#;
-        validate_snapshot_json(v1).expect("v1 must stay parseable");
-        // A v2 document: queue fields required, speed_robust not yet.
-        let mut snap = dummy_snapshot();
-        snap.schema_version = 2;
-        snap.speed_robust.clear();
-        validate_snapshot_json(&with_queue(&snap.to_json())).expect("v2 must stay parseable");
-        // A v3 document: speed_robust required, mode/fastpath not yet
-        // (both are present in the emitted text and ignored as extras).
-        let mut snap = dummy_snapshot();
-        snap.schema_version = 3;
-        validate_snapshot_json(&with_queue(&snap.to_json())).expect("v3 must stay parseable");
-        // A v4 document: per-case queue, mode and fastpath.
-        let mut snap = dummy_snapshot();
-        snap.schema_version = 4;
-        let v4 = with_queue(&snap.to_json());
-        validate_snapshot_json(&v4).expect("v4 must stay parseable");
-        validate_snapshot_json(&v4.replace("\"calendar\"", "\"heap\""))
-            .expect("v4 heap rows must stay parseable");
-        // But v1 rules still apply to v1 documents.
-        assert!(validate_snapshot_json(&v1.replace("\"cpus\": 4", "\"cpus\": 0")).is_err());
-        // And v2 to v4 require a known queue field.
-        assert!(validate_snapshot_json(&snap.to_json()).is_err());
-        assert!(validate_snapshot_json(&v4.replace("\"calendar\"", "\"ladder\"")).is_err());
     }
 
     #[test]

@@ -28,10 +28,11 @@
 //! Minimizing `F` subject to the constraint via a Lagrange multiplier yields
 //! a single scalar equation in `M` which the paper solves "numerically by
 //! bisection"; [`UmrSchedule::solve_lagrange`] reproduces that.
-//! [`UmrSchedule::solve`] instead scans integer round counts directly —
-//! equally fast at these sizes, immune to the degenerate cases (θ = 1,
-//! `cLat = 0`), and used as ground truth in tests, which assert that both
-//! solvers agree wherever the Lagrange path applies.
+//! [`UmrSchedule::solve`] instead scans every integer round count up to
+//! [`MAX_ROUNDS`] and keeps the best feasible one. The scan needs no
+//! stationary point, so it also returns a plan where the condition has none
+//! (θ = 1, `cLat = 0`). It is the solver the schedulers use, and tests
+//! assert that both solvers agree wherever the Lagrange path applies.
 
 use dls_sim::{Decision, Platform, Scheduler, SimView};
 
@@ -194,7 +195,9 @@ impl UmrInputs {
     }
 
     /// Generate the `m` per-round chunk sizes starting from `chunk0` via the
-    /// recursion (numerically stabler than powers for large `m`).
+    /// forward recursion `chunk_{j+1} = θ·chunk_j + η`. Each step scales
+    /// `chunk0`'s rounding error by θ, so for θ > 1 and many rounds the sum
+    /// can drift from `W/N`; `build` moves that residual into the last round.
     fn chunks_from(&self, chunk0: f64, m: usize) -> Vec<f64> {
         let theta = self.theta();
         let eta = self.eta();
@@ -302,39 +305,21 @@ impl UmrSchedule {
         }
     }
 
-    /// Best (M, chunk0) by integer scan.
+    /// Best (M, chunk0) by integer scan over every feasible `M` up to
+    /// [`MAX_ROUNDS`]; a larger `M` must beat the best so far by more than
+    /// 1e-12 s to replace it.
     fn scan_best(inputs: &UmrInputs) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64, f64)> = None;
-        let mut stale = 0usize;
         for m in 1..=MAX_ROUNDS {
             let Some(chunk0) = inputs.chunk0_for(m as f64) else {
                 continue;
             };
-            let chunks = inputs.chunks_from(chunk0, m);
-            if !inputs.chunks_feasible(&chunks) {
-                // Once feasibility is lost after having found a solution it
-                // does not come back for larger M in practice; allow slack.
-                if best.is_some() {
-                    stale += 1;
-                    if stale > 64 {
-                        break;
-                    }
-                }
+            if !inputs.chunks_feasible(&inputs.chunks_from(chunk0, m)) {
                 continue;
             }
             let f = inputs.makespan(chunk0, m);
-            match &mut best {
-                Some((_, _, best_f)) if f < *best_f - 1e-12 => {
-                    best = Some((m, chunk0, f));
-                    stale = 0;
-                }
-                Some(_) => {
-                    stale += 1;
-                    if stale > 64 {
-                        break;
-                    }
-                }
-                None => best = Some((m, chunk0, f)),
+            if best.is_none_or(|(_, _, best_f)| f < best_f - 1e-12) {
+                best = Some((m, chunk0, f));
             }
         }
         best.map(|(m, c, _)| (m, c))

@@ -207,34 +207,16 @@ impl HetUmrSchedule {
 
     fn scan_best(consts: &Consts, w_total: f64) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64, f64)> = None;
-        let mut stale = 0usize;
         for m in 1..=MAX_ROUNDS {
             let Some(r0) = Self::r0_for(consts, w_total, m as f64) else {
                 continue;
             };
-            let rounds = Self::rounds_from(consts, r0, m);
-            if !Self::feasible(consts, &rounds, w_total) {
-                if best.is_some() {
-                    stale += 1;
-                    if stale > 64 {
-                        break;
-                    }
-                }
+            if !Self::feasible(consts, &Self::rounds_from(consts, r0, m), w_total) {
                 continue;
             }
             let f = Self::makespan(consts, r0, m, w_total);
-            match &mut best {
-                Some((_, _, bf)) if f < *bf - 1e-12 => {
-                    best = Some((m, r0, f));
-                    stale = 0;
-                }
-                Some(_) => {
-                    stale += 1;
-                    if stale > 64 {
-                        break;
-                    }
-                }
-                None => best = Some((m, r0, f)),
+            if best.is_none_or(|(_, _, bf)| f < bf - 1e-12) {
+                best = Some((m, r0, f));
             }
         }
         best.map(|(m, r0, _)| (m, r0))
