@@ -58,9 +58,8 @@ impl HetRumr {
         // participates at all; both phases stay within that set, otherwise
         // phase 2 would greedily feed exactly the starved workers the
         // planner dropped.
-        let selected = HetUmrSchedule::solve_with_selection(platform, w_total)?
-            .worker_ids()
-            .to_vec();
+        let selection = HetUmrSchedule::solve_with_selection(platform, w_total)?;
+        let selected = selection.worker_ids().to_vec();
         let n = selected.len();
         let s_sum: f64 = selected.iter().map(|&i| workers[i].speed).sum();
         let round_overhead = selected
@@ -93,7 +92,12 @@ impl HetRumr {
         };
         let w1 = w_total - w2;
 
-        let phase1 = if w1 > 0.0 {
+        let phase1 = if w2 == 0.0 {
+            // Phase 1 is the whole workload on the selected workers, which
+            // is the schedule selection solved: solving it again would
+            // return the same plan bit for bit.
+            Some(PlanReplayer::new(selection.plan()))
+        } else if w1 > 0.0 {
             let schedule = HetUmrSchedule::solve_subset(platform, &selected, w1)?;
             Some(PlanReplayer::new(schedule.plan()))
         } else {
@@ -269,6 +273,36 @@ mod tests {
         let b = run(&platform, &mut umr, 0.0, 0);
         assert_eq!(a.num_chunks, b.num_chunks);
         assert!((a.makespan - b.makespan).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_phase2_replays_the_selected_schedule() {
+        // Error 0, a phase-1 fraction of 1, and the §4.2(i) rule on a star
+        // of many small workers each leave phase 2 empty: phase 1 must be
+        // the plan of solving the selected workers for all of W.
+        let many = HomogeneousParams::table1(32, 1.5, 0.4, 0.9)
+            .build()
+            .unwrap();
+        let fraction_one = RumrConfig {
+            phase1_fraction: Some(1.0),
+            ..RumrConfig::default()
+        };
+        for (platform, config) in [
+            (het_platform(), RumrConfig::with_known_error(0.0)),
+            (het_platform(), fraction_one),
+            (many, RumrConfig::with_known_error(0.3)),
+        ] {
+            let rumr = HetRumr::new(&platform, 1000.0, config).unwrap();
+            assert_eq!(rumr.phase2_remaining(), 0.0);
+            let want = HetUmrSchedule::solve_subset(&platform, &rumr.selected, 1000.0)
+                .unwrap()
+                .plan();
+            let got = rumr.phase1.as_ref().expect("phase 1").plan();
+            let bits = |p: &crate::plan::DispatchPlan| -> Vec<(usize, u64)> {
+                p.sends.iter().map(|&(w, c)| (w, c.to_bits())).collect()
+            };
+            assert_eq!(bits(got), bits(&want));
+        }
     }
 
     #[test]

@@ -28,11 +28,16 @@
 //! Minimizing `F` subject to the constraint via a Lagrange multiplier yields
 //! a single scalar equation in `M` which the paper solves "numerically by
 //! bisection"; [`UmrSchedule::solve_lagrange`] reproduces that.
-//! [`UmrSchedule::solve`] instead scans every integer round count up to
+//! [`UmrSchedule::solve`] instead scans the integer round counts up to
 //! [`MAX_ROUNDS`] and keeps the best feasible one. The scan needs no
 //! stationary point, so it also returns a plan where the condition has none
 //! (θ = 1, `cLat = 0`). It is the solver the schedulers use, and tests
 //! assert that both solvers agree wherever the Lagrange path applies.
+//!
+//! The scan stops at the first `M` whose lower bound `F(M, floor)` (the
+//! makespan at the floor every feasible first chunk exceeds) cannot beat
+//! the best so far; the bound grows with `M` by `cLat` per round. It
+//! returns the plan an exhaustive scan returns, bit for bit.
 
 use dls_sim::{Decision, Platform, Scheduler, SimView};
 
@@ -164,36 +169,6 @@ impl UmrInputs {
         self.w_total / self.n as f64
     }
 
-    /// The first-round chunk size that makes `M` rounds sum to `W/N`, or
-    /// `None` when the value is not finite.
-    ///
-    /// The textbook form `h + (W/N − M·h)·(θ−1)/(θ^M−1)` cancels
-    /// catastrophically as θ → 1 (`h = η/(1−θ)` and `θ^M − 1` both lose all
-    /// significance), so it is rearranged into
-    ///
-    /// ```text
-    /// chunk_0 = (W/N)·(θ−1)/(θ^M−1) + η·(M·f(M·lnθ) − f(lnθ)),
-    /// f(x)    = 1/expm1(x) − 1/x
-    /// ```
-    ///
-    /// where the two `1/x` poles of `M/(θ^M−1)` and `1/(θ−1)` cancel
-    /// *analytically* inside `f`, which is smooth through 0 (value −1/2).
-    /// Every factor is evaluated via `ln_1p`/`exp_m1`, so the function is
-    /// continuous through θ = 1 with no branch cutoff.
-    fn chunk0_for(&self, m: f64) -> Option<f64> {
-        let eta = self.eta();
-        let w_per = self.w_per_worker();
-        let d = self.theta() - 1.0;
-        let u = d.ln_1p(); // ln θ, accurate near θ = 1
-        let geom = if d == 0.0 {
-            1.0 / m // limit of (θ−1)/(θ^M−1)
-        } else {
-            d / (m * u).exp_m1()
-        };
-        let chunk0 = w_per * geom + eta * (m * inv_expm1_minus_inv(m * u) - inv_expm1_minus_inv(u));
-        chunk0.is_finite().then_some(chunk0)
-    }
-
     /// Generate the `m` per-round chunk sizes starting from `chunk0` via the
     /// forward recursion `chunk_{j+1} = θ·chunk_j + η`. Each step scales
     /// `chunk0`'s rounding error by θ, so for θ > 1 and many rounds the sum
@@ -217,10 +192,80 @@ impl UmrInputs {
             + m as f64 * self.comp_latency
             + self.w_per_worker() / self.speed
     }
+}
 
-    fn chunks_feasible(&self, chunks: &[f64]) -> bool {
-        let floor = CHUNK_EPS_FRACTION * self.w_per_worker();
-        chunks.iter().all(|&c| c.is_finite() && c > floor)
+/// The terms of the first-chunk closed form and of the feasibility test
+/// that do not depend on the round count, computed once per solve rather
+/// than once per candidate `M`.
+#[derive(Debug, Clone, Copy)]
+struct Recursion {
+    theta: f64,
+    eta: f64,
+    w_per: f64,
+    /// `θ − 1`.
+    d: f64,
+    /// `ln θ`, via `ln_1p` (accurate near θ = 1).
+    ln_theta: f64,
+    /// `f(ln θ)`.
+    f_ln_theta: f64,
+    /// Chunks at or below this are numerically zero.
+    floor: f64,
+}
+
+impl Recursion {
+    fn of(inputs: &UmrInputs) -> Self {
+        let w_per = inputs.w_per_worker();
+        let d = inputs.theta() - 1.0;
+        let ln_theta = d.ln_1p();
+        Recursion {
+            theta: inputs.theta(),
+            eta: inputs.eta(),
+            w_per,
+            d,
+            ln_theta,
+            f_ln_theta: inv_expm1_minus_inv(ln_theta),
+            floor: CHUNK_EPS_FRACTION * w_per,
+        }
+    }
+
+    /// The first-round chunk size that makes `M` rounds sum to `W/N`, or
+    /// `None` when the value is not finite.
+    ///
+    /// The textbook form `h + (W/N − M·h)·(θ−1)/(θ^M−1)` cancels
+    /// catastrophically as θ → 1 (`h = η/(1−θ)` and `θ^M − 1` both lose all
+    /// significance), so it is rearranged into
+    ///
+    /// ```text
+    /// chunk_0 = (W/N)·(θ−1)/(θ^M−1) + η·(M·f(M·lnθ) − f(lnθ)),
+    /// f(x)    = 1/expm1(x) − 1/x
+    /// ```
+    ///
+    /// where the two `1/x` poles of `M/(θ^M−1)` and `1/(θ−1)` cancel
+    /// *analytically* inside `f`, which is smooth through 0 (value −1/2).
+    /// Every factor is evaluated via `ln_1p`/`exp_m1`, so the function is
+    /// continuous through θ = 1 with no branch cutoff.
+    fn chunk0(&self, m: f64) -> Option<f64> {
+        let geom = if self.d == 0.0 {
+            1.0 / m // limit of (θ−1)/(θ^M−1)
+        } else {
+            self.d / (m * self.ln_theta).exp_m1()
+        };
+        let chunk0 = self.w_per * geom
+            + self.eta * (m * inv_expm1_minus_inv(m * self.ln_theta) - self.f_ln_theta);
+        chunk0.is_finite().then_some(chunk0)
+    }
+
+    /// Whether all `m` chunks from `chunk0` are finite and above the floor:
+    /// [`UmrInputs::chunks_from`]'s recursion, run in place.
+    fn feasible(&self, chunk0: f64, m: usize) -> bool {
+        let mut c = chunk0;
+        for _ in 0..m {
+            if !(c.is_finite() && c > self.floor) {
+                return false;
+            }
+            c = self.theta * c + self.eta;
+        }
+        true
     }
 }
 
@@ -305,16 +350,29 @@ impl UmrSchedule {
         }
     }
 
-    /// Best (M, chunk0) by integer scan over every feasible `M` up to
+    /// Best (M, chunk0) by integer scan over the feasible `M` up to
     /// [`MAX_ROUNDS`]; a larger `M` must beat the best so far by more than
     /// 1e-12 s to replace it.
+    ///
+    /// The scan stops at the first `M` whose bound `F(M, floor)` is not
+    /// below that threshold. The bound is exact in floating point, with no
+    /// margin: a feasible `chunk0` exceeds `floor`, and every operation of
+    /// [`UmrInputs::makespan`] is monotone in `chunk0` (the rest of the
+    /// formula is the same expression), so the computed `F(M, chunk0)` is
+    /// never below the computed `F(M, floor)`, which in turn never falls as
+    /// `M` grows (`M·cLat` with `cLat ≥ 0`). No later `M` could replace the
+    /// best, so the result is the exhaustive scan's.
     fn scan_best(inputs: &UmrInputs) -> Option<(usize, f64)> {
+        let rec = Recursion::of(inputs);
         let mut best: Option<(usize, f64, f64)> = None;
         for m in 1..=MAX_ROUNDS {
-            let Some(chunk0) = inputs.chunk0_for(m as f64) else {
+            if best.is_some_and(|(_, _, best_f)| inputs.makespan(rec.floor, m) >= best_f - 1e-12) {
+                break;
+            }
+            let Some(chunk0) = rec.chunk0(m as f64) else {
                 continue;
             };
-            if !inputs.chunks_feasible(&inputs.chunks_from(chunk0, m)) {
+            if !rec.feasible(chunk0, m) {
                 continue;
             }
             let f = inputs.makespan(chunk0, m);
@@ -340,8 +398,9 @@ impl UmrSchedule {
         let n_over_b = inputs.n as f64 / inputs.bandwidth;
         let ln_theta = theta.ln();
 
+        let rec = Recursion::of(inputs);
         let phi = |m: f64| -> f64 {
-            let chunk0 = match inputs.chunk0_for(m) {
+            let chunk0 = match rec.chunk0(m) {
                 Some(c) => c,
                 None => return f64::NAN,
             };
@@ -395,11 +454,10 @@ impl UmrSchedule {
         let mut best: Option<(usize, f64, f64)> = None;
         for m in candidates {
             let m = m.clamp(1, MAX_ROUNDS);
-            let Some(chunk0) = inputs.chunk0_for(m as f64) else {
+            let Some(chunk0) = rec.chunk0(m as f64) else {
                 continue;
             };
-            let chunks = inputs.chunks_from(chunk0, m);
-            if !inputs.chunks_feasible(&chunks) {
+            if !rec.feasible(chunk0, m) {
                 continue;
             }
             let f = inputs.makespan(chunk0, m);
@@ -488,10 +546,122 @@ impl Scheduler for Umr {
     }
 }
 
+/// The exhaustive round-count scan the bounded one must match bit for bit:
+/// every `M` up to [`MAX_ROUNDS`], the first chunk recomputed from scratch
+/// for each, feasibility tested on an allocated chunk list.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn chunk0_for(inputs: &UmrInputs, m: f64) -> Option<f64> {
+        let eta = inputs.eta();
+        let w_per = inputs.w_per_worker();
+        let d = inputs.theta() - 1.0;
+        let u = d.ln_1p();
+        let geom = if d == 0.0 {
+            1.0 / m
+        } else {
+            d / (m * u).exp_m1()
+        };
+        let chunk0 = w_per * geom + eta * (m * inv_expm1_minus_inv(m * u) - inv_expm1_minus_inv(u));
+        chunk0.is_finite().then_some(chunk0)
+    }
+
+    fn chunks_feasible(inputs: &UmrInputs, chunks: &[f64]) -> bool {
+        let floor = CHUNK_EPS_FRACTION * inputs.w_per_worker();
+        chunks.iter().all(|&c| c.is_finite() && c > floor)
+    }
+
+    fn scan_best(inputs: &UmrInputs) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64, f64)> = None;
+        for m in 1..=MAX_ROUNDS {
+            let Some(chunk0) = chunk0_for(inputs, m as f64) else {
+                continue;
+            };
+            if !chunks_feasible(inputs, &inputs.chunks_from(chunk0, m)) {
+                continue;
+            }
+            let f = inputs.makespan(chunk0, m);
+            if best.is_none_or(|(_, _, best_f)| f < best_f - 1e-12) {
+                best = Some((m, chunk0, f));
+            }
+        }
+        best.map(|(m, c, _)| (m, c))
+    }
+
+    /// [`UmrSchedule::solve`] on the exhaustive scan.
+    pub(super) fn solve(inputs: UmrInputs) -> Result<UmrSchedule, UmrError> {
+        UmrSchedule::validate(&inputs)?;
+        let (m, chunk0) = scan_best(&inputs).ok_or(UmrError::NoFeasibleSchedule)?;
+        Ok(UmrSchedule::build(
+            inputs,
+            m,
+            chunk0,
+            SolverPath::IntegerScan,
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dls_sim::{simulate, ErrorInjector, ErrorModel, HomogeneousParams, SimConfig};
+    use proptest::prelude::*;
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn send_bits(plan: &DispatchPlan) -> Vec<(usize, u64)> {
+        plan.sends.iter().map(|&(w, c)| (w, c.to_bits())).collect()
+    }
+
+    /// `10^lo..10^hi`, log-uniform in `x ∈ [0, 1)`.
+    fn log_scale(x: f64, lo: f64, hi: f64) -> f64 {
+        10f64.powf(lo + (hi - lo) * x)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The bounded scan returns the exhaustive scan's plan bit for bit:
+        /// round count, round sizes, predicted makespan and dispatch
+        /// order, or the same error. N 1–200, W 1e-6–1e12, speeds
+        /// 1e-3–1e3 and links 1e-6–1e6 (so links far slower than speeds
+        /// too), each latency zero or 1e-3–10, and θ = 1 exactly.
+        #[test]
+        fn bounded_scan_matches_exhaustive_scan(
+            n in 1usize..=200,
+            (w, s, b) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            (clat, nlat, tlat) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            zeros in 0u8..8,
+            theta_one in proptest::bool::ANY,
+        ) {
+            let speed = log_scale(s, -3.0, 3.0);
+            let latency = |x: f64, bit: u8| if zeros & bit != 0 { 0.0 } else { log_scale(x, -3.0, 1.0) };
+            let inputs = UmrInputs {
+                n,
+                speed,
+                bandwidth: if theta_one { n as f64 * speed } else { log_scale(b, -6.0, 6.0) },
+                comp_latency: latency(clat, 1),
+                net_latency: latency(nlat, 2),
+                transfer_latency: latency(tlat, 4),
+                w_total: log_scale(w, -6.0, 12.0),
+            };
+            match (UmrSchedule::solve(inputs), reference::solve(inputs)) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(bits(got.round_chunks()), bits(want.round_chunks()), "{:?}", inputs);
+                    prop_assert_eq!(
+                        got.predicted_makespan().to_bits(),
+                        want.predicted_makespan().to_bits(),
+                        "{:?}", inputs
+                    );
+                    prop_assert_eq!(send_bits(&got.plan()), send_bits(&want.plan()), "{:?}", inputs);
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err(), "{:?}", inputs),
+            }
+        }
+    }
 
     fn table1(n: usize, r: f64, clat: f64, nlat: f64) -> UmrInputs {
         let platform = HomogeneousParams::table1(n, r, clat, nlat).build().unwrap();
@@ -687,7 +857,7 @@ mod tests {
             w_total: 1000.0,
         };
         for m in [2.0, 3.0, 7.0, 31.0] {
-            let at_one = base.chunk0_for(m).expect("θ = 1 value");
+            let at_one = Recursion::of(&base).chunk0(m).expect("θ = 1 value");
             // Exact arithmetic-series limit as an independent cross-check.
             let expected = (base.w_per_worker() - base.eta() * m * (m - 1.0) / 2.0) / m;
             assert!(
@@ -699,7 +869,7 @@ mod tests {
                     let mut i = base;
                     // θ = B/(N·S): perturb the bandwidth to move θ off 1.
                     i.bandwidth = 4.0 * (1.0 + sign * mag);
-                    let c = i.chunk0_for(m).expect("perturbed value");
+                    let c = Recursion::of(&i).chunk0(m).expect("perturbed value");
                     // chunk0 genuinely varies with θ (slope up to ~1e4 per
                     // unit θ at these m), so the window scales with the
                     // perturbation; the old code's noise near the cutoff
