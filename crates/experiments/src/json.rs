@@ -183,8 +183,11 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Append a number token to `out`.
-fn write_num(out: &mut String, x: f64) {
+/// Append a number token to `out`: Rust's shortest round-trip `{}` form
+/// for a finite number, `null` otherwise. Every number in
+/// [`Json::canonical`]'s output, and in any text that must match it byte
+/// for byte, goes through this one writer.
+pub fn write_num(out: &mut String, x: f64) {
     if x.is_finite() {
         let _ = write!(out, "{x}");
     } else {

@@ -254,11 +254,12 @@ impl HetUmrSchedule {
     /// The prefixes are walked from the full set down, and each scan is cut
     /// off against the best predicted makespan of the larger prefixes; a
     /// prefix replaces it when it is not larger, so ties still go to the
-    /// shortest prefix. Only the winner is built.
+    /// shortest prefix. Only the winner is built. A non-positive or
+    /// non-finite `w_total` is [`UmrError::InvalidWorkload`], as in
+    /// [`HetUmrSchedule::solve`].
     pub fn solve_with_selection(platform: &Platform, w_total: f64) -> Result<Self, UmrError> {
         if !w_total.is_finite() || w_total <= 0.0 {
-            // No prefix has a schedule for such a workload.
-            return Err(UmrError::NoFeasibleSchedule);
+            return Err(UmrError::InvalidWorkload { w_total });
         }
         let mut order: Vec<usize> = (0..platform.num_workers()).collect();
         order.sort_by(|&a, &b| {
@@ -548,6 +549,9 @@ mod reference {
         platform: &Platform,
         w_total: f64,
     ) -> Result<HetUmrSchedule, UmrError> {
+        if !w_total.is_finite() || w_total <= 0.0 {
+            return Err(UmrError::InvalidWorkload { w_total });
+        }
         let mut order: Vec<usize> = (0..platform.num_workers()).collect();
         order.sort_by(|&a, &b| {
             platform
@@ -751,6 +755,12 @@ mod tests {
         }
         let tie = HetUmrSchedule::solve_with_selection(&platforms[3], 300.0).unwrap();
         assert_eq!(tie.worker_ids(), [0]);
+        for w_total in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                HetUmrSchedule::solve_with_selection(&platforms[0], w_total).err(),
+                Some(UmrError::InvalidWorkload { w_total })
+            );
+        }
     }
 
     fn het_platform() -> Platform {
@@ -906,6 +916,10 @@ mod tests {
         let platform = het_platform();
         assert!(matches!(
             HetUmrSchedule::solve(&platform, -1.0),
+            Err(UmrError::InvalidWorkload { .. })
+        ));
+        assert!(matches!(
+            HetUmrSchedule::solve_with_selection(&platform, -1.0),
             Err(UmrError::InvalidWorkload { .. })
         ));
         assert!(matches!(

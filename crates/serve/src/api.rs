@@ -2,16 +2,22 @@
 //!
 //! Everything the wire speaks maps onto the core types: a `/plan` body
 //! decodes to a [`PlanRequest`], a `/simulate` body to a
-//! [`SimulateRequest`] (a [`Scenario`] plus a [`RunSpec`]). Encoding and
-//! decoding are inverses over the supported surface, and
-//! [`Json::canonical`] of an encoded request is the service's cache key —
-//! the pinned round-trip tests in this module keep that contract honest.
+//! [`SimulateRequest`] (a [`Scenario`] plus a [`RunSpec`]).
 //!
 //! Decoders are tolerant of omitted optional fields (they fall back to the
 //! same defaults the Rust builders use) and strict about types: a field of
 //! the wrong JSON type is a 400, not a silent default.
+//!
+//! The service's cache keys and shard route are canonical texts of the
+//! decoded request in its explicit form (defaults filled in, the
+//! `homogeneous` shorthand expanded): the bytes [`Json::canonical`] writes
+//! for that document, keys sorted and no whitespace. The `write_*`
+//! functions below write that text straight from the decoded values, with
+//! the fields already in sorted order and every number through
+//! [`write_num`]. The tests pin it byte for byte against a JSON-tree
+//! reference, and check that decoding it gives the request back.
 
-use dls_experiments::json::{json_num, parse_json, Json};
+use dls_experiments::json::{parse_json, write_num, Json};
 use rumr::sim::FaultAction;
 use rumr::{
     ErrorModel, FaultModel, FaultPlan, HomogeneousParams, MultiJob, MultiPolicy, MultiRunSpec,
@@ -114,34 +120,42 @@ fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, ApiError> {
     }
 }
 
-fn opt_json_num(x: Option<f64>) -> Json {
+/// Append `head` (the punctuation and key before a value), then the
+/// number `x`.
+fn put_num(out: &mut String, head: &str, x: f64) {
+    out.push_str(head);
+    write_num(out, x);
+}
+
+/// [`put_num`] for an optional number: `null` when absent.
+fn put_opt(out: &mut String, head: &str, x: Option<f64>) {
+    out.push_str(head);
     match x {
-        Some(v) => Json::Num(v),
-        None => Json::Null,
+        Some(v) => write_num(out, v),
+        None => out.push_str("null"),
     }
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// [`put_num`] for a boolean.
+fn put_bool(out: &mut String, head: &str, b: bool) {
+    out.push_str(head);
+    out.push_str(if b { "true" } else { "false" });
 }
 
 // ---------------------------------------------------------------------------
 // Scheduler
 // ---------------------------------------------------------------------------
 
-fn rumr_config_fields(c: &RumrConfig) -> Vec<(&'static str, Json)> {
-    vec![
-        ("error_estimate", opt_json_num(c.error_estimate)),
-        ("phase1_fraction", opt_json_num(c.phase1_fraction)),
-        ("out_of_order", Json::Bool(c.out_of_order)),
-        ("factor", Json::Num(c.factor)),
-        ("error_aware_bound", Json::Bool(c.error_aware_bound)),
-    ]
+/// Append a RUMR-family scheduler with its full configuration.
+fn write_rumr(out: &mut String, kind: &str, c: &RumrConfig) {
+    put_bool(out, r#"{"error_aware_bound":"#, c.error_aware_bound);
+    put_opt(out, r#","error_estimate":"#, c.error_estimate);
+    put_num(out, r#","factor":"#, c.factor);
+    out.push_str(r#","kind":""#);
+    out.push_str(kind);
+    put_bool(out, r#"","out_of_order":"#, c.out_of_order);
+    put_opt(out, r#","phase1_fraction":"#, c.phase1_fraction);
+    out.push('}');
 }
 
 fn decode_rumr_config(v: &Json) -> Result<RumrConfig, ApiError> {
@@ -155,51 +169,36 @@ fn decode_rumr_config(v: &Json) -> Result<RumrConfig, ApiError> {
     })
 }
 
-/// Encode a [`SchedulerKind`] as `{"kind": "...", ...params}`. RUMR
-/// variants always carry their full configuration so the encoding is
-/// self-contained.
-pub fn encode_scheduler(kind: &SchedulerKind) -> Json {
-    let mut fields: Vec<(&str, Json)>;
+/// Append a [`SchedulerKind`], `{"kind":"...",...params}`. RUMR variants
+/// always carry their full configuration so the text is self-contained.
+fn write_scheduler(out: &mut String, kind: &SchedulerKind) {
     match kind {
-        SchedulerKind::Rumr(c) => {
-            fields = vec![("kind", Json::Str("rumr".into()))];
-            fields.extend(rumr_config_fields(c));
-        }
-        SchedulerKind::HetRumr(c) => {
-            fields = vec![("kind", Json::Str("het_rumr".into()))];
-            fields.extend(rumr_config_fields(c));
-        }
-        SchedulerKind::Umr => fields = vec![("kind", Json::Str("umr".into()))],
+        SchedulerKind::Rumr(c) => write_rumr(out, "rumr", c),
+        SchedulerKind::HetRumr(c) => write_rumr(out, "het_rumr", c),
+        SchedulerKind::Umr => out.push_str(r#"{"kind":"umr"}"#),
         SchedulerKind::Mi { installments } => {
-            fields = vec![
-                ("kind", Json::Str("mi".into())),
-                ("installments", Json::Num(*installments as f64)),
-            ]
+            put_num(out, r#"{"installments":"#, *installments as f64);
+            out.push_str(r#","kind":"mi"}"#);
         }
-        SchedulerKind::Factoring => fields = vec![("kind", Json::Str("factoring".into()))],
+        SchedulerKind::Factoring => out.push_str(r#"{"kind":"factoring"}"#),
         SchedulerKind::Fsc { error } => {
-            fields = vec![
-                ("kind", Json::Str("fsc".into())),
-                ("error", Json::Num(*error)),
-            ]
+            put_num(out, r#"{"error":"#, *error);
+            out.push_str(r#","kind":"fsc"}"#);
         }
-        SchedulerKind::EqualStatic => fields = vec![("kind", Json::Str("equal_static".into()))],
+        SchedulerKind::EqualStatic => out.push_str(r#"{"kind":"equal_static"}"#),
         SchedulerKind::SelfScheduling { unit } => {
-            fields = vec![
-                ("kind", Json::Str("self_scheduling".into())),
-                ("unit", Json::Num(*unit)),
-            ]
+            put_num(out, r#"{"kind":"self_scheduling","unit":"#, *unit);
+            out.push('}');
         }
-        SchedulerKind::HetUmr => fields = vec![("kind", Json::Str("het_umr".into()))],
-        SchedulerKind::AdaptiveRumr => fields = vec![("kind", Json::Str("adaptive_rumr".into()))],
-        SchedulerKind::OneRound => fields = vec![("kind", Json::Str("one_round".into()))],
-        SchedulerKind::Gss => fields = vec![("kind", Json::Str("gss".into()))],
-        SchedulerKind::Tss => fields = vec![("kind", Json::Str("tss".into()))],
+        SchedulerKind::HetUmr => out.push_str(r#"{"kind":"het_umr"}"#),
+        SchedulerKind::AdaptiveRumr => out.push_str(r#"{"kind":"adaptive_rumr"}"#),
+        SchedulerKind::OneRound => out.push_str(r#"{"kind":"one_round"}"#),
+        SchedulerKind::Gss => out.push_str(r#"{"kind":"gss"}"#),
+        SchedulerKind::Tss => out.push_str(r#"{"kind":"tss"}"#),
     }
-    obj(fields)
 }
 
-/// Decode a scheduler object (see [`encode_scheduler`] for the shape).
+/// Decode a scheduler object, `{"kind": "...", ...params}`.
 pub fn decode_scheduler(v: &Json) -> Result<SchedulerKind, ApiError> {
     match str_field(v, "kind")? {
         "rumr" => Ok(SchedulerKind::Rumr(decode_rumr_config(v)?)),
@@ -229,23 +228,50 @@ pub fn decode_scheduler(v: &Json) -> Result<SchedulerKind, ApiError> {
 // Platform and error model
 // ---------------------------------------------------------------------------
 
-/// Encode a platform as its explicit worker list (the canonical form; the
-/// `homogeneous` request shorthand expands to this).
-pub fn encode_platform(platform: &Platform) -> Json {
-    let workers = platform
-        .workers()
-        .iter()
-        .map(|w| {
-            obj(vec![
-                ("speed", Json::Num(w.speed)),
-                ("bandwidth", Json::Num(w.bandwidth)),
-                ("comp_latency", Json::Num(w.comp_latency)),
-                ("net_latency", Json::Num(w.net_latency)),
-                ("transfer_latency", Json::Num(w.transfer_latency)),
-            ])
-        })
-        .collect();
-    obj(vec![("workers", Json::Arr(workers))])
+/// Append a platform as its explicit worker list, `{"workers":[...]}`
+/// (the `homogeneous` request shorthand expands to this).
+///
+/// A worker whose five fields have the same bits as the previous
+/// worker's repeats that worker's text instead of rendering its numbers
+/// again, so an N-worker homogeneous platform costs one worker render.
+/// Bits, not `==`: `0.0` and `-0.0` are equal but print differently.
+fn write_platform(out: &mut String, platform: &Platform) {
+    let workers = platform.workers();
+    out.push_str(r#"{"workers":["#);
+    let mut text = String::new();
+    let mut last = None;
+    for (i, w) in workers.iter().enumerate() {
+        let bits = [
+            w.speed,
+            w.bandwidth,
+            w.comp_latency,
+            w.net_latency,
+            w.transfer_latency,
+        ]
+        .map(f64::to_bits);
+        if last != Some(bits) {
+            text.clear();
+            write_worker(&mut text, w);
+            last = Some(bits);
+        }
+        if i == 0 {
+            // Exact for a homogeneous platform.
+            out.reserve(workers.len() * (text.len() + 1) + 2);
+        } else {
+            out.push(',');
+        }
+        out.push_str(&text);
+    }
+    out.push_str("]}");
+}
+
+fn write_worker(out: &mut String, w: &WorkerSpec) {
+    put_num(out, r#"{"bandwidth":"#, w.bandwidth);
+    put_num(out, r#","comp_latency":"#, w.comp_latency);
+    put_num(out, r#","net_latency":"#, w.net_latency);
+    put_num(out, r#","speed":"#, w.speed);
+    put_num(out, r#","transfer_latency":"#, w.transfer_latency);
+    out.push('}');
 }
 
 /// Decode a platform: either `{"workers": [...]}` (explicit) or
@@ -286,19 +312,19 @@ pub fn decode_platform(v: &Json) -> Result<Platform, ApiError> {
     Platform::new(specs).map_err(|e| ApiError(format!("platform: {e}")))
 }
 
-/// Encode an error model as `{"kind": "...", "error": x}`.
-pub fn encode_error_model(model: &ErrorModel) -> Json {
+/// Append an error model, `{"error":x,"kind":"..."}` (no `error` for
+/// `none`).
+fn write_error_model(out: &mut String, model: &ErrorModel) {
     let (kind, error) = match model {
-        ErrorModel::None => ("none", None),
-        ErrorModel::TruncatedNormal { error } => ("normal", Some(*error)),
-        ErrorModel::TruncatedNormalInverse { error } => ("inverse", Some(*error)),
-        ErrorModel::Uniform { error } => ("uniform", Some(*error)),
+        ErrorModel::None => return out.push_str(r#"{"kind":"none"}"#),
+        ErrorModel::TruncatedNormal { error } => ("normal", *error),
+        ErrorModel::TruncatedNormalInverse { error } => ("inverse", *error),
+        ErrorModel::Uniform { error } => ("uniform", *error),
     };
-    let mut fields = vec![("kind", Json::Str(kind.into()))];
-    if let Some(e) = error {
-        fields.push(("error", Json::Num(e)));
-    }
-    obj(fields)
+    put_num(out, r#"{"error":"#, error);
+    out.push_str(r#","kind":""#);
+    out.push_str(kind);
+    out.push_str(r#""}"#);
 }
 
 /// Decode an error model; a missing `error` field means 0 and `kind:
@@ -318,15 +344,12 @@ pub fn decode_error_model(v: &Json) -> Result<ErrorModel, ApiError> {
 // Faults, recovery, SimConfig, RunSpec
 // ---------------------------------------------------------------------------
 
-fn encode_fault_action(action: FaultAction) -> Json {
-    Json::Str(
-        match action {
-            FaultAction::Down => "down",
-            FaultAction::Up => "up",
-            FaultAction::LinkDrop => "link_drop",
-        }
-        .into(),
-    )
+fn fault_action_name(action: FaultAction) -> &'static str {
+    match action {
+        FaultAction::Down => "down",
+        FaultAction::Up => "up",
+        FaultAction::LinkDrop => "link_drop",
+    }
 }
 
 fn decode_fault_action(s: &str) -> Result<FaultAction, ApiError> {
@@ -338,40 +361,39 @@ fn decode_fault_action(s: &str) -> Result<FaultAction, ApiError> {
     }
 }
 
-/// Encode a fault model as a tagged object (`kind`: `none` / `plan` /
+/// Append a fault model as a tagged object (`kind`: `none` / `plan` /
 /// `poisson`).
-pub fn encode_fault_model(model: &FaultModel) -> Json {
+fn write_fault_model(out: &mut String, model: &FaultModel) {
     match model {
-        FaultModel::None => obj(vec![("kind", Json::Str("none".into()))]),
+        FaultModel::None => out.push_str(r#"{"kind":"none"}"#),
         FaultModel::Plan(plan) => {
-            let events = plan
-                .events()
-                .iter()
-                .map(|e| {
-                    obj(vec![
-                        ("time", Json::Num(e.time)),
-                        ("worker", Json::Num(e.worker as f64)),
-                        ("action", encode_fault_action(e.action)),
-                    ])
-                })
-                .collect();
-            obj(vec![
-                ("kind", Json::Str("plan".into())),
-                ("events", Json::Arr(events)),
-            ])
+            out.push_str(r#"{"events":["#);
+            for (i, e) in plan.events().iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(r#"{"action":""#);
+                out.push_str(fault_action_name(e.action));
+                put_num(out, r#"","time":"#, e.time);
+                put_num(out, r#","worker":"#, e.worker as f64);
+                out.push('}');
+            }
+            out.push_str(r#"],"kind":"plan"}"#);
         }
-        FaultModel::Poisson(p) => obj(vec![
-            ("kind", Json::Str("poisson".into())),
-            ("mttf", Json::Num(p.mttf)),
-            ("mttr", opt_json_num(p.mttr)),
-            ("link_mtbf", opt_json_num(p.link_mtbf)),
-            ("horizon", Json::Num(p.horizon)),
-            ("seed", Json::Num(p.seed as f64)),
-        ]),
+        FaultModel::Poisson(p) => {
+            put_num(out, r#"{"horizon":"#, p.horizon);
+            put_opt(out, r#","kind":"poisson","link_mtbf":"#, p.link_mtbf);
+            put_num(out, r#","mttf":"#, p.mttf);
+            put_opt(out, r#","mttr":"#, p.mttr);
+            put_num(out, r#","seed":"#, p.seed as f64);
+            out.push('}');
+        }
     }
 }
 
-/// Decode a fault model (see [`encode_fault_model`]).
+/// Decode a fault model: `{"kind": "none"}`, `{"kind": "plan", "events":
+/// [{"time", "worker", "action"}, ...]}` or `{"kind": "poisson", "mttf",
+/// "horizon", "mttr"?, "link_mtbf"?, "seed"?}`.
 pub fn decode_fault_model(v: &Json) -> Result<FaultModel, ApiError> {
     match str_field(v, "kind")? {
         "none" => Ok(FaultModel::None),
@@ -412,22 +434,16 @@ pub fn decode_fault_model(v: &Json) -> Result<FaultModel, ApiError> {
     }
 }
 
-/// Encode a recovery policy with all fields explicit.
-pub fn encode_recovery(r: &RecoveryConfig) -> Json {
-    obj(vec![
-        ("initial_backoff", Json::Num(r.initial_backoff)),
-        ("backoff_factor", Json::Num(r.backoff_factor)),
-        ("factor", Json::Num(r.factor)),
-        ("min_chunk", Json::Num(r.min_chunk)),
-        (
-            "divergence_threshold",
-            r.divergence_threshold.map_or(Json::Null, Json::Num),
-        ),
-        (
-            "divergence_min_samples",
-            Json::Num(r.divergence_min_samples as f64),
-        ),
-    ])
+/// Append a recovery policy with all fields explicit.
+fn write_recovery(out: &mut String, r: &RecoveryConfig) {
+    put_num(out, r#"{"backoff_factor":"#, r.backoff_factor);
+    let samples = f64::from(r.divergence_min_samples);
+    put_num(out, r#","divergence_min_samples":"#, samples);
+    put_opt(out, r#","divergence_threshold":"#, r.divergence_threshold);
+    put_num(out, r#","factor":"#, r.factor);
+    put_num(out, r#","initial_backoff":"#, r.initial_backoff);
+    put_num(out, r#","min_chunk":"#, r.min_chunk);
+    out.push('}');
 }
 
 /// Decode a recovery policy; missing fields take the Rust defaults, and
@@ -461,35 +477,38 @@ pub fn decode_recovery(v: &Json) -> Result<RecoveryConfig, ApiError> {
     })
 }
 
-/// Encode a speed-revelation model as a tagged object (`kind`: `declared`
-/// / `stochastic` / `sandbag` / `adversarial`).
-pub fn encode_speed_model(model: &SpeedModel) -> Json {
+/// Append a speed-revelation model as a tagged object (`kind`:
+/// `declared` / `stochastic` / `sandbag` / `adversarial`).
+fn write_speed_model(out: &mut String, model: &SpeedModel) {
     match *model {
-        SpeedModel::Declared => obj(vec![("kind", Json::Str("declared".into()))]),
-        SpeedModel::Stochastic { spread, seed } => obj(vec![
-            ("kind", Json::Str("stochastic".into())),
-            ("spread", Json::Num(spread)),
-            ("seed", Json::Num(seed as f64)),
-        ]),
+        SpeedModel::Declared => out.push_str(r#"{"kind":"declared"}"#),
+        SpeedModel::Stochastic { spread, seed } => {
+            put_num(out, r#"{"kind":"stochastic","seed":"#, seed as f64);
+            put_num(out, r#","spread":"#, spread);
+            out.push('}');
+        }
         SpeedModel::Sandbagged {
             fraction,
             slowdown,
             seed,
-        } => obj(vec![
-            ("kind", Json::Str("sandbag".into())),
-            ("fraction", Json::Num(fraction)),
-            ("slowdown", Json::Num(slowdown)),
-            ("seed", Json::Num(seed as f64)),
-        ]),
-        SpeedModel::Adversarial { fraction, slowdown } => obj(vec![
-            ("kind", Json::Str("adversarial".into())),
-            ("fraction", Json::Num(fraction)),
-            ("slowdown", Json::Num(slowdown)),
-        ]),
+        } => {
+            put_num(out, r#"{"fraction":"#, fraction);
+            put_num(out, r#","kind":"sandbag","seed":"#, seed as f64);
+            put_num(out, r#","slowdown":"#, slowdown);
+            out.push('}');
+        }
+        SpeedModel::Adversarial { fraction, slowdown } => {
+            put_num(out, r#"{"fraction":"#, fraction);
+            put_num(out, r#","kind":"adversarial","slowdown":"#, slowdown);
+            out.push('}');
+        }
     }
 }
 
-/// Decode a speed-revelation model (see [`encode_speed_model`]).
+/// Decode a speed-revelation model: `{"kind": "declared"}`,
+/// `{"kind": "stochastic", "spread", "seed"?}`, `{"kind": "sandbag",
+/// "fraction", "slowdown", "seed"?}` or `{"kind": "adversarial",
+/// "fraction", "slowdown"}`.
 pub fn decode_speed_model(v: &Json) -> Result<SpeedModel, ApiError> {
     let model = match str_field(v, "kind")? {
         "declared" | "identity" => SpeedModel::Declared,
@@ -546,24 +565,21 @@ fn decode_trace_mode(s: &str) -> Result<TraceMode, ApiError> {
     }
 }
 
-/// Encode an engine configuration with every field explicit.
-pub fn encode_sim_config(c: &SimConfig) -> Json {
-    obj(vec![
-        (
-            "trace_mode",
-            Json::Str(trace_mode_name(c.trace_mode).into()),
-        ),
-        ("max_events", Json::Num(c.max_events as f64)),
-        (
-            "max_concurrent_sends",
-            Json::Num(c.max_concurrent_sends as f64),
-        ),
-        ("uplink_capacity", opt_json_num(c.uplink_capacity)),
-        ("output_ratio", Json::Num(c.output_ratio)),
-        ("faults", encode_fault_model(&c.faults)),
-        ("audit", Json::Bool(c.audit)),
-        ("speeds", encode_speed_model(&c.speeds)),
-    ])
+/// Append an engine configuration with every field explicit.
+fn write_sim_config(out: &mut String, c: &SimConfig) {
+    put_bool(out, r#"{"audit":"#, c.audit);
+    out.push_str(r#","faults":"#);
+    write_fault_model(out, &c.faults);
+    let sends = c.max_concurrent_sends as f64;
+    put_num(out, r#","max_concurrent_sends":"#, sends);
+    put_num(out, r#","max_events":"#, c.max_events as f64);
+    put_num(out, r#","output_ratio":"#, c.output_ratio);
+    out.push_str(r#","speeds":"#);
+    write_speed_model(out, &c.speeds);
+    out.push_str(r#","trace_mode":""#);
+    out.push_str(trace_mode_name(c.trace_mode));
+    put_opt(out, r#"","uplink_capacity":"#, c.uplink_capacity);
+    out.push('}');
 }
 
 /// Decode an engine configuration; missing fields take
@@ -595,22 +611,21 @@ pub fn decode_sim_config(v: &Json) -> Result<SimConfig, ApiError> {
     })
 }
 
-/// Encode a [`RunSpec`] (without any attached prototype — that is derived
-/// state, not wire state).
-pub fn encode_run_spec(spec: &RunSpec) -> Json {
-    obj(vec![
-        ("scheduler", encode_scheduler(&spec.kind)),
-        ("seed", Json::Num(spec.seed as f64)),
-        ("reps", Json::Num(spec.reps as f64)),
-        ("config", encode_sim_config(&spec.config)),
-        (
-            "recovery",
-            match &spec.recovery {
-                Some(r) => encode_recovery(r),
-                None => Json::Null,
-            },
-        ),
-    ])
+/// Append a [`RunSpec`] (without any attached prototype — that is
+/// derived state, not wire state).
+fn write_run_spec(out: &mut String, spec: &RunSpec) {
+    out.push_str(r#"{"config":"#);
+    write_sim_config(out, &spec.config);
+    out.push_str(r#","recovery":"#);
+    match &spec.recovery {
+        Some(r) => write_recovery(out, r),
+        None => out.push_str("null"),
+    }
+    put_num(out, r#","reps":"#, spec.reps as f64);
+    out.push_str(r#","scheduler":"#);
+    write_scheduler(out, &spec.kind);
+    put_num(out, r#","seed":"#, spec.seed as f64);
+    out.push('}');
 }
 
 /// Decode a [`RunSpec`]; `seed` defaults to 0, `reps` to 1, `config` to
@@ -679,38 +694,41 @@ impl PlanRequest {
     /// field order, the homogeneous shorthand expanded) produce the same
     /// string. This is the plan cache key.
     pub fn cache_key(&self) -> String {
-        plan_key(
-            &encode_platform(&self.platform).canonical(),
-            &self.kind,
-            self.w_total,
-        )
+        let mut platform = String::new();
+        write_platform(&mut platform, &self.platform);
+        plan_key(&platform, &self.kind, self.w_total)
     }
 }
 
 /// The plan cache key of a (platform, scheduler, workload) triple, given
-/// the platform's canonical text.
+/// the platform's canonical text:
+/// `{"platform":...,"scheduler":...,"w_total":...}`.
 fn plan_key(platform: &str, kind: &SchedulerKind, w_total: f64) -> String {
-    canonical_object(&[
-        ("platform", platform),
-        ("scheduler", &encode_scheduler(kind).canonical()),
-        ("w_total", &json_num(w_total)),
-    ])
+    let mut out = String::new();
+    out.push_str(r#"{"platform":"#);
+    out.push_str(platform);
+    out.push_str(r#","scheduler":"#);
+    write_scheduler(&mut out, kind);
+    put_num(&mut out, r#","w_total":"#, w_total);
+    out.push('}');
+    out
 }
 
-/// The canonical text of an object whose field values are already
-/// canonical: the bytes [`Json::canonical`] writes for that object.
-/// `fields` must come in sorted key order, and keys must need no escape.
-fn canonical_object(fields: &[(&str, &str)]) -> String {
-    debug_assert!(fields.windows(2).all(|w| w[0].0 < w[1].0));
-    let len: usize = fields.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
-    let mut out = String::with_capacity(len + 1);
-    for (i, (key, value)) in fields.iter().enumerate() {
-        out.push(if i == 0 { '{' } else { ',' });
-        out.push('"');
-        out.push_str(key);
-        out.push_str("\":");
-        out.push_str(value);
+/// A scenario's canonical text around the platform's canonical text, with
+/// the run spec when one is given:
+/// `{"error_model":...,"platform":...,"run":...,"w_total":...}` is the
+/// whole `/simulate` request, and without `run` it is the shard route.
+fn scenario_text(scenario: &Scenario, platform: &str, run: Option<&RunSpec>) -> String {
+    let mut out = String::new();
+    out.push_str(r#"{"error_model":"#);
+    write_error_model(&mut out, &scenario.error_model);
+    out.push_str(r#","platform":"#);
+    out.push_str(platform);
+    if let Some(spec) = run {
+        out.push_str(r#","run":"#);
+        write_run_spec(&mut out, spec);
     }
+    put_num(&mut out, r#","w_total":"#, scenario.w_total);
     out.push('}');
     out
 }
@@ -790,9 +808,11 @@ impl SimulateRequest {
     /// so a caller that needs more than one key should hold one
     /// [`SimulateKeys`].
     pub fn keys(&self) -> SimulateKeys<'_> {
+        let mut platform = String::new();
+        write_platform(&mut platform, &self.scenario.platform);
         SimulateKeys {
             request: self,
-            platform: encode_platform(&self.scenario.platform).canonical(),
+            platform,
         }
     }
 }
@@ -810,37 +830,18 @@ impl SimulateKeys<'_> {
     /// [`SimulateRequest::canonical`]: the `/simulate` response cache key.
     pub fn canonical(&self) -> String {
         let r = self.request;
-        canonical_object(&[
-            (
-                "error_model",
-                &encode_error_model(&r.scenario.error_model).canonical(),
-            ),
-            ("platform", &self.platform),
-            ("run", &encode_run_spec(&r.spec).canonical()),
-            ("w_total", &json_num(r.scenario.w_total)),
-        ])
+        scenario_text(&r.scenario, &self.platform, Some(&r.spec))
     }
 
     /// [`SimulateRequest::scenario_key`]: the shard routing key.
     pub fn scenario_key(&self) -> String {
-        let r = self.request;
-        canonical_object(&[
-            (
-                "error_model",
-                &encode_error_model(&r.scenario.error_model).canonical(),
-            ),
-            ("platform", &self.platform),
-            ("w_total", &json_num(r.scenario.w_total)),
-        ])
+        scenario_text(&self.request.scenario, &self.platform, None)
     }
 
     /// [`SimulateRequest::plan_key`]: the plan cache key.
     pub fn plan_key(&self) -> String {
-        plan_key(
-            &self.platform,
-            &self.request.spec.kind,
-            self.request.scenario.w_total,
-        )
+        let r = self.request;
+        plan_key(&self.platform, &r.spec.kind, r.scenario.w_total)
     }
 }
 
@@ -935,9 +936,254 @@ impl JobsRequest {
     }
 }
 
+/// The JSON-tree encoders the key writers replaced: the canonical text of
+/// each tree ([`Json::canonical`]) is the definition the writers must
+/// match byte for byte.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn opt_json_num(x: Option<f64>) -> Json {
+        match x {
+            Some(v) => Json::Num(v),
+            None => Json::Null,
+        }
+    }
+
+    pub(super) fn obj(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    fn rumr_config_fields(c: &RumrConfig) -> Vec<(&'static str, Json)> {
+        vec![
+            ("error_estimate", opt_json_num(c.error_estimate)),
+            ("phase1_fraction", opt_json_num(c.phase1_fraction)),
+            ("out_of_order", Json::Bool(c.out_of_order)),
+            ("factor", Json::Num(c.factor)),
+            ("error_aware_bound", Json::Bool(c.error_aware_bound)),
+        ]
+    }
+
+    /// Encode a [`SchedulerKind`] as `{"kind": "...", ...params}`. RUMR
+    /// variants always carry their full configuration so the encoding is
+    /// self-contained.
+    pub(super) fn encode_scheduler(kind: &SchedulerKind) -> Json {
+        let mut fields: Vec<(&str, Json)>;
+        match kind {
+            SchedulerKind::Rumr(c) => {
+                fields = vec![("kind", Json::Str("rumr".into()))];
+                fields.extend(rumr_config_fields(c));
+            }
+            SchedulerKind::HetRumr(c) => {
+                fields = vec![("kind", Json::Str("het_rumr".into()))];
+                fields.extend(rumr_config_fields(c));
+            }
+            SchedulerKind::Umr => fields = vec![("kind", Json::Str("umr".into()))],
+            SchedulerKind::Mi { installments } => {
+                fields = vec![
+                    ("kind", Json::Str("mi".into())),
+                    ("installments", Json::Num(*installments as f64)),
+                ]
+            }
+            SchedulerKind::Factoring => fields = vec![("kind", Json::Str("factoring".into()))],
+            SchedulerKind::Fsc { error } => {
+                fields = vec![
+                    ("kind", Json::Str("fsc".into())),
+                    ("error", Json::Num(*error)),
+                ]
+            }
+            SchedulerKind::EqualStatic => fields = vec![("kind", Json::Str("equal_static".into()))],
+            SchedulerKind::SelfScheduling { unit } => {
+                fields = vec![
+                    ("kind", Json::Str("self_scheduling".into())),
+                    ("unit", Json::Num(*unit)),
+                ]
+            }
+            SchedulerKind::HetUmr => fields = vec![("kind", Json::Str("het_umr".into()))],
+            SchedulerKind::AdaptiveRumr => {
+                fields = vec![("kind", Json::Str("adaptive_rumr".into()))]
+            }
+            SchedulerKind::OneRound => fields = vec![("kind", Json::Str("one_round".into()))],
+            SchedulerKind::Gss => fields = vec![("kind", Json::Str("gss".into()))],
+            SchedulerKind::Tss => fields = vec![("kind", Json::Str("tss".into()))],
+        }
+        obj(fields)
+    }
+
+    /// Encode a platform as its explicit worker list (the canonical form; the
+    /// `homogeneous` request shorthand expands to this).
+    pub(super) fn encode_platform(platform: &Platform) -> Json {
+        let workers = platform
+            .workers()
+            .iter()
+            .map(|w| {
+                obj(vec![
+                    ("speed", Json::Num(w.speed)),
+                    ("bandwidth", Json::Num(w.bandwidth)),
+                    ("comp_latency", Json::Num(w.comp_latency)),
+                    ("net_latency", Json::Num(w.net_latency)),
+                    ("transfer_latency", Json::Num(w.transfer_latency)),
+                ])
+            })
+            .collect();
+        obj(vec![("workers", Json::Arr(workers))])
+    }
+
+    /// Encode an error model as `{"kind": "...", "error": x}`.
+    pub(super) fn encode_error_model(model: &ErrorModel) -> Json {
+        let (kind, error) = match model {
+            ErrorModel::None => ("none", None),
+            ErrorModel::TruncatedNormal { error } => ("normal", Some(*error)),
+            ErrorModel::TruncatedNormalInverse { error } => ("inverse", Some(*error)),
+            ErrorModel::Uniform { error } => ("uniform", Some(*error)),
+        };
+        let mut fields = vec![("kind", Json::Str(kind.into()))];
+        if let Some(e) = error {
+            fields.push(("error", Json::Num(e)));
+        }
+        obj(fields)
+    }
+
+    fn encode_fault_action(action: FaultAction) -> Json {
+        Json::Str(
+            match action {
+                FaultAction::Down => "down",
+                FaultAction::Up => "up",
+                FaultAction::LinkDrop => "link_drop",
+            }
+            .into(),
+        )
+    }
+
+    /// Encode a fault model as a tagged object (`kind`: `none` / `plan` /
+    /// `poisson`).
+    pub(super) fn encode_fault_model(model: &FaultModel) -> Json {
+        match model {
+            FaultModel::None => obj(vec![("kind", Json::Str("none".into()))]),
+            FaultModel::Plan(plan) => {
+                let events = plan
+                    .events()
+                    .iter()
+                    .map(|e| {
+                        obj(vec![
+                            ("time", Json::Num(e.time)),
+                            ("worker", Json::Num(e.worker as f64)),
+                            ("action", encode_fault_action(e.action)),
+                        ])
+                    })
+                    .collect();
+                obj(vec![
+                    ("kind", Json::Str("plan".into())),
+                    ("events", Json::Arr(events)),
+                ])
+            }
+            FaultModel::Poisson(p) => obj(vec![
+                ("kind", Json::Str("poisson".into())),
+                ("mttf", Json::Num(p.mttf)),
+                ("mttr", opt_json_num(p.mttr)),
+                ("link_mtbf", opt_json_num(p.link_mtbf)),
+                ("horizon", Json::Num(p.horizon)),
+                ("seed", Json::Num(p.seed as f64)),
+            ]),
+        }
+    }
+
+    /// Encode a recovery policy with all fields explicit.
+    pub(super) fn encode_recovery(r: &RecoveryConfig) -> Json {
+        obj(vec![
+            ("initial_backoff", Json::Num(r.initial_backoff)),
+            ("backoff_factor", Json::Num(r.backoff_factor)),
+            ("factor", Json::Num(r.factor)),
+            ("min_chunk", Json::Num(r.min_chunk)),
+            (
+                "divergence_threshold",
+                r.divergence_threshold.map_or(Json::Null, Json::Num),
+            ),
+            (
+                "divergence_min_samples",
+                Json::Num(r.divergence_min_samples as f64),
+            ),
+        ])
+    }
+
+    /// Encode a speed-revelation model as a tagged object (`kind`: `declared`
+    /// / `stochastic` / `sandbag` / `adversarial`).
+    pub(super) fn encode_speed_model(model: &SpeedModel) -> Json {
+        match *model {
+            SpeedModel::Declared => obj(vec![("kind", Json::Str("declared".into()))]),
+            SpeedModel::Stochastic { spread, seed } => obj(vec![
+                ("kind", Json::Str("stochastic".into())),
+                ("spread", Json::Num(spread)),
+                ("seed", Json::Num(seed as f64)),
+            ]),
+            SpeedModel::Sandbagged {
+                fraction,
+                slowdown,
+                seed,
+            } => obj(vec![
+                ("kind", Json::Str("sandbag".into())),
+                ("fraction", Json::Num(fraction)),
+                ("slowdown", Json::Num(slowdown)),
+                ("seed", Json::Num(seed as f64)),
+            ]),
+            SpeedModel::Adversarial { fraction, slowdown } => obj(vec![
+                ("kind", Json::Str("adversarial".into())),
+                ("fraction", Json::Num(fraction)),
+                ("slowdown", Json::Num(slowdown)),
+            ]),
+        }
+    }
+
+    /// Encode an engine configuration with every field explicit.
+    pub(super) fn encode_sim_config(c: &SimConfig) -> Json {
+        obj(vec![
+            (
+                "trace_mode",
+                Json::Str(trace_mode_name(c.trace_mode).into()),
+            ),
+            ("max_events", Json::Num(c.max_events as f64)),
+            (
+                "max_concurrent_sends",
+                Json::Num(c.max_concurrent_sends as f64),
+            ),
+            ("uplink_capacity", opt_json_num(c.uplink_capacity)),
+            ("output_ratio", Json::Num(c.output_ratio)),
+            ("faults", encode_fault_model(&c.faults)),
+            ("audit", Json::Bool(c.audit)),
+            ("speeds", encode_speed_model(&c.speeds)),
+        ])
+    }
+
+    /// Encode a [`RunSpec`] (without any attached prototype — that is derived
+    /// state, not wire state).
+    pub(super) fn encode_run_spec(spec: &RunSpec) -> Json {
+        obj(vec![
+            ("scheduler", encode_scheduler(&spec.kind)),
+            ("seed", Json::Num(spec.seed as f64)),
+            ("reps", Json::Num(spec.reps as f64)),
+            ("config", encode_sim_config(&spec.config)),
+            (
+                "recovery",
+                match &spec.recovery {
+                    Some(r) => encode_recovery(r),
+                    None => Json::Null,
+                },
+            ),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::*;
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use rumr::FaultPlan;
 
     fn round_trip_spec(spec: &RunSpec) {
@@ -1175,6 +1421,7 @@ mod tests {
             r#"{"scheduler": {"kind": "het_rumr", "phase1_fraction": 0.8}, "seed": 11}"#,
         ];
         let mut checked = 0;
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
         for platform in platforms {
             for error_model in error_models {
                 for extra in extras {
@@ -1202,11 +1449,358 @@ mod tests {
                         );
                         let plan_request = PlanRequest::from_json_str(&plan_body).unwrap();
                         assert_eq!(plan_request.cache_key(), plan, "{plan_body}");
+                        // FNV-1a over every key, each ended by a newline.
+                        for key in [
+                            keys.canonical(),
+                            keys.scenario_key(),
+                            keys.plan_key(),
+                            plan_request.cache_key(),
+                        ] {
+                            for b in key.bytes().chain([b'\n']) {
+                                digest =
+                                    (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                            }
+                        }
                         checked += 1;
                     }
                 }
             }
         }
         assert_eq!(checked, 2 * 5 * 4 * 5);
+        // The digest of the same keys as the JSON-tree encoders wrote them.
+        assert_eq!(digest, 0xfb63_60e8_c7a0_be65);
+    }
+
+    /// Numbers whose text is easy to get wrong: both zeros, subnormals,
+    /// the smallest normal, huge magnitudes, and integers at and above
+    /// 2^53 where `{}` switches to rounded digits.
+    const EDGE_NUMS: [f64; 12] = [
+        0.0,
+        -0.0,
+        5e-324,
+        1e-310,
+        f64::MIN_POSITIVE,
+        1e300,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        18_446_744_073_709_551_616.0,
+        1e21,
+        0.1,
+        0.300_000_000_000_000_04,
+    ];
+
+    const EDGE_INTS: [u64; 8] = [
+        0,
+        1,
+        (1 << 53) - 1,
+        1 << 53,
+        (1 << 53) + 1,
+        1 << 63,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+        items[(0..items.len()).generate(rng)]
+    }
+
+    /// An edge number, or a log-uniform magnitude from 1e-300 to 1e300
+    /// of either sign.
+    fn any_num(rng: &mut TestRng) -> f64 {
+        if proptest::bool::ANY.generate(rng) {
+            return pick(rng, &EDGE_NUMS);
+        }
+        let x = 10f64.powf((-300.0..300.0).generate(rng));
+        if proptest::bool::ANY.generate(rng) {
+            -x
+        } else {
+            x
+        }
+    }
+
+    /// A non-negative number; `-0.0` stays `-0.0`.
+    fn nonneg_num(rng: &mut TestRng) -> f64 {
+        let x = any_num(rng);
+        if x < 0.0 {
+            -x
+        } else {
+            x
+        }
+    }
+
+    fn positive_num(rng: &mut TestRng) -> f64 {
+        let x = nonneg_num(rng);
+        if x == 0.0 {
+            1.0
+        } else {
+            x
+        }
+    }
+
+    fn opt_num(rng: &mut TestRng) -> Option<f64> {
+        proptest::bool::ANY.generate(rng).then(|| any_num(rng))
+    }
+
+    /// An edge integer, a small one or any `u64`.
+    fn any_int(rng: &mut TestRng) -> u64 {
+        match (0..3).generate(rng) {
+            0 => pick(rng, &EDGE_INTS),
+            1 => (0u64..1000).generate(rng),
+            _ => (0..u64::MAX).generate(rng),
+        }
+    }
+
+    fn any_worker(rng: &mut TestRng) -> WorkerSpec {
+        WorkerSpec {
+            speed: positive_num(rng),
+            bandwidth: positive_num(rng),
+            comp_latency: nonneg_num(rng),
+            net_latency: nonneg_num(rng),
+            transfer_latency: nonneg_num(rng),
+        }
+    }
+
+    /// 1–64 workers: runs of bit-identical copies, fresh workers, and
+    /// pairs that differ only in the sign of a zero latency.
+    fn any_platform(rng: &mut TestRng) -> Platform {
+        let n = (1usize..=64).generate(rng);
+        let mut workers = vec![any_worker(rng)];
+        while workers.len() < n {
+            let last = *workers.last().unwrap();
+            match (0..3).generate(rng) {
+                0 => {
+                    let run = (1usize..=8).generate(rng);
+                    workers.extend(std::iter::repeat_n(last, run));
+                }
+                1 => {
+                    let field = (0..3).generate(rng);
+                    let with = |zero: f64| {
+                        let mut w = last;
+                        match field {
+                            0 => w.comp_latency = zero,
+                            1 => w.net_latency = zero,
+                            _ => w.transfer_latency = zero,
+                        }
+                        w
+                    };
+                    let (a, b) = if proptest::bool::ANY.generate(rng) {
+                        (0.0, -0.0)
+                    } else {
+                        (-0.0, 0.0)
+                    };
+                    workers.extend([with(a), with(b)]);
+                }
+                _ => workers.push(any_worker(rng)),
+            }
+        }
+        workers.truncate(n);
+        Platform::new(workers).unwrap()
+    }
+
+    fn any_rumr_config(rng: &mut TestRng) -> RumrConfig {
+        RumrConfig {
+            error_estimate: opt_num(rng),
+            phase1_fraction: opt_num(rng),
+            out_of_order: proptest::bool::ANY.generate(rng),
+            factor: any_num(rng),
+            error_aware_bound: proptest::bool::ANY.generate(rng),
+        }
+    }
+
+    fn any_scheduler(rng: &mut TestRng) -> SchedulerKind {
+        match (0..13).generate(rng) {
+            0 => SchedulerKind::Rumr(any_rumr_config(rng)),
+            1 => SchedulerKind::HetRumr(any_rumr_config(rng)),
+            2 => SchedulerKind::Umr,
+            3 => SchedulerKind::Mi {
+                installments: any_int(rng) as usize,
+            },
+            4 => SchedulerKind::Factoring,
+            5 => SchedulerKind::Fsc {
+                error: any_num(rng),
+            },
+            6 => SchedulerKind::EqualStatic,
+            7 => SchedulerKind::SelfScheduling { unit: any_num(rng) },
+            8 => SchedulerKind::HetUmr,
+            9 => SchedulerKind::AdaptiveRumr,
+            10 => SchedulerKind::OneRound,
+            11 => SchedulerKind::Gss,
+            _ => SchedulerKind::Tss,
+        }
+    }
+
+    fn any_error_model(rng: &mut TestRng) -> ErrorModel {
+        let error = any_num(rng);
+        match (0..4).generate(rng) {
+            0 => ErrorModel::None,
+            1 => ErrorModel::TruncatedNormal { error },
+            2 => ErrorModel::TruncatedNormalInverse { error },
+            _ => ErrorModel::Uniform { error },
+        }
+    }
+
+    fn any_faults(rng: &mut TestRng) -> FaultModel {
+        match (0..3).generate(rng) {
+            0 => FaultModel::None,
+            1 => {
+                let mut plan = FaultPlan::new();
+                for _ in 0..(0..6).generate(rng) {
+                    let action = pick(
+                        rng,
+                        &[FaultAction::Down, FaultAction::Up, FaultAction::LinkDrop],
+                    );
+                    plan = plan.add(nonneg_num(rng), any_int(rng) as usize, action);
+                }
+                FaultModel::Plan(plan)
+            }
+            _ => FaultModel::Poisson(PoissonFaults {
+                mttf: any_num(rng),
+                mttr: opt_num(rng),
+                link_mtbf: opt_num(rng),
+                horizon: any_num(rng),
+                seed: any_int(rng),
+            }),
+        }
+    }
+
+    fn any_speeds(rng: &mut TestRng) -> SpeedModel {
+        let (fraction, slowdown, seed) = (any_num(rng), any_num(rng), any_int(rng));
+        match (0..4).generate(rng) {
+            0 => SpeedModel::Declared,
+            1 => SpeedModel::Stochastic {
+                spread: fraction,
+                seed,
+            },
+            2 => SpeedModel::Sandbagged {
+                fraction,
+                slowdown,
+                seed,
+            },
+            _ => SpeedModel::Adversarial { fraction, slowdown },
+        }
+    }
+
+    fn any_recovery(rng: &mut TestRng) -> RecoveryConfig {
+        RecoveryConfig {
+            initial_backoff: any_num(rng),
+            backoff_factor: any_num(rng),
+            factor: any_num(rng),
+            min_chunk: any_num(rng),
+            divergence_threshold: opt_num(rng),
+            divergence_min_samples: any_int(rng) as u32,
+        }
+    }
+
+    fn any_run_spec(rng: &mut TestRng) -> RunSpec {
+        let mut spec = RunSpec::new(any_scheduler(rng));
+        spec.seed = any_int(rng);
+        spec.reps = any_int(rng);
+        spec.config = SimConfig {
+            trace_mode: pick(
+                rng,
+                &[TraceMode::Off, TraceMode::MetricsOnly, TraceMode::Full],
+            ),
+            max_events: any_int(rng),
+            max_concurrent_sends: any_int(rng) as usize,
+            uplink_capacity: opt_num(rng),
+            output_ratio: any_num(rng),
+            faults: any_faults(rng),
+            audit: proptest::bool::ANY.generate(rng),
+            speeds: any_speeds(rng),
+        };
+        spec.recovery = proptest::bool::ANY.generate(rng).then(|| any_recovery(rng));
+        spec
+    }
+
+    /// Any `/simulate` request the types can hold, valid or not for a
+    /// run: the keys are written before anything checks the values.
+    struct AnyRequest;
+
+    impl Strategy for AnyRequest {
+        type Value = SimulateRequest;
+
+        fn generate(&self, rng: &mut TestRng) -> SimulateRequest {
+            SimulateRequest {
+                scenario: Scenario {
+                    platform: any_platform(rng),
+                    w_total: any_num(rng),
+                    error_model: any_error_model(rng),
+                    cost_profile: None,
+                    temporal_noise: None,
+                },
+                spec: any_run_spec(rng),
+            }
+        }
+    }
+
+    /// Every key, as the request's methods, [`SimulateKeys`] and the
+    /// `/plan` request naming the same triple write it, against the
+    /// reference's whole-document canonical forms.
+    fn check_keys(r: &SimulateRequest) -> Result<(), TestCaseError> {
+        let [canonical, scenario, plan] = whole_document_keys(r);
+        let keys = r.keys();
+        prop_assert_eq!(&r.canonical(), &canonical);
+        prop_assert_eq!(&keys.canonical(), &canonical);
+        prop_assert_eq!(&r.scenario_key(), &scenario);
+        prop_assert_eq!(&keys.scenario_key(), &scenario);
+        prop_assert_eq!(&r.plan_key(), &plan);
+        prop_assert_eq!(&keys.plan_key(), &plan);
+        let plan_request = PlanRequest {
+            platform: r.scenario.platform.clone(),
+            w_total: r.scenario.w_total,
+            kind: r.spec.kind,
+        };
+        prop_assert_eq!(&plan_request.cache_key(), &plan);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The key writers produce the JSON reference's bytes for any
+        /// request: every scheduler kind, error model, fault model and
+        /// speed model, with or without recovery, edge numbers anywhere.
+        #[test]
+        fn written_keys_match_the_json_reference(r in AnyRequest) {
+            check_keys(&r)?;
+        }
+    }
+
+    #[test]
+    fn seeds_of_two_to_the_64_decode_saturated_and_key_like_the_reference() {
+        let two_64 = "18446744073709551616";
+        for speeds in [
+            format!(r#"{{"kind": "stochastic", "spread": 0.25, "seed": {two_64}}}"#),
+            format!(r#"{{"kind": "sandbag", "fraction": 0.5, "slowdown": 2, "seed": {two_64}}}"#),
+        ] {
+            let body = format!(
+                r#"{{"platform": {{"homogeneous": {{"n": 3, "ratio": 1.5,
+                    "comp_latency": 0, "net_latency": 0.1}}}},
+                    "w_total": 100, "speeds": {speeds},
+                    "run": {{"scheduler": {{"kind": "umr"}}, "seed": {two_64},
+                      "recovery": true,
+                      "config": {{"faults": {{"kind": "poisson", "mttf": 50,
+                        "horizon": 500, "seed": {two_64}}}}}}}}}"#
+            );
+            let r = SimulateRequest::from_json_str(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
+            assert_eq!(r.spec.seed, u64::MAX);
+            let FaultModel::Poisson(faults) = &r.spec.config.faults else {
+                panic!("{body}: not poisson");
+            };
+            assert_eq!(faults.seed, u64::MAX);
+            let (SpeedModel::Stochastic { seed, .. } | SpeedModel::Sandbagged { seed, .. }) =
+                r.spec.config.speeds
+            else {
+                panic!("{body}: not seeded");
+            };
+            assert_eq!(seed, u64::MAX);
+            check_keys(&r).unwrap_or_else(|e| panic!("{body}: {e}"));
+            assert_eq!(
+                r.canonical()
+                    .matches(r#""seed":18446744073709552000"#)
+                    .count(),
+                3
+            );
+        }
     }
 }

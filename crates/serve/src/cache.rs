@@ -88,10 +88,12 @@ impl<V: Clone> LruCache<V> {
     }
 
     /// Insert an entry, evicting the least-recently-used one at capacity.
-    pub fn insert(&self, key: String, value: V) {
+    pub fn insert(&self, mut key: String, value: V) {
         if self.capacity == 0 {
             return;
         }
+        // Kept until evicted: drop the spare room the key grew with.
+        key.shrink_to_fit();
         let mut inner = lock(&self.inner);
         if inner.map.insert(key.clone(), value).is_none() {
             inner.order.push(key);

@@ -43,6 +43,7 @@ pub struct Metrics {
     fastpath_misses: [AtomicU64; FastPathMiss::ALL.len()],
     fastpath_audited: AtomicU64,
     fastpath_divergences: AtomicU64,
+    fastpath_audit_errors: AtomicU64,
 }
 
 impl Metrics {
@@ -176,6 +177,17 @@ impl Metrics {
     /// engine disagree — a correctness bug, fatal in CI.
     pub fn fastpath_divergences_total(&self) -> u64 {
         self.fastpath_divergences.load(Ordering::Relaxed)
+    }
+
+    /// Count an audit run the engine could not finish (an error such as
+    /// the event limit), so it has no makespan to compare.
+    pub fn fastpath_audit_error(&self) {
+        self.fastpath_audit_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Audit runs that ended in an engine error so far.
+    pub fn fastpath_audit_errors_total(&self) -> u64 {
+        self.fastpath_audit_errors.load(Ordering::Relaxed)
     }
 
     /// Count a `/simulate` request dispatched to engine shard `shard`.
@@ -330,6 +342,15 @@ impl Metrics {
             "dls_serve_fastpath_divergence_total {}",
             self.fastpath_divergences.load(Ordering::Relaxed)
         );
+        out.push_str(
+            "# HELP dls_serve_fastpath_audit_errors_total Audit re-runs that ended in an engine error.\n",
+        );
+        out.push_str("# TYPE dls_serve_fastpath_audit_errors_total counter\n");
+        let _ = writeln!(
+            out,
+            "dls_serve_fastpath_audit_errors_total {}",
+            self.fastpath_audit_errors.load(Ordering::Relaxed)
+        );
 
         out.push_str(
             "# HELP dls_serve_shard_requests_total Simulate requests dispatched, by engine shard.\n",
@@ -382,6 +403,7 @@ mod tests {
         m.fastpath_miss(FastPathMiss::PredictionErrors);
         m.fastpath_audited();
         m.fastpath_divergence();
+        m.fastpath_audit_error();
         let text = m.render();
         assert!(text.contains("dls_serve_requests_total{endpoint=\"/plan\",status=\"200\"} 2"));
         assert!(text.contains("dls_serve_requests_total{endpoint=\"/simulate\",status=\"400\"} 1"));
@@ -407,7 +429,9 @@ mod tests {
         assert_eq!(m.fastpath_engine_total(), 3);
         assert!(text.contains("dls_serve_fastpath_audited_total 1"));
         assert!(text.contains("dls_serve_fastpath_divergence_total 1"));
+        assert!(text.contains("dls_serve_fastpath_audit_errors_total 1"));
         assert_eq!(m.fastpath_analytic_total(), 2);
         assert_eq!(m.fastpath_divergences_total(), 1);
+        assert_eq!(m.fastpath_audit_errors_total(), 1);
     }
 }

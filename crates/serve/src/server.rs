@@ -84,7 +84,9 @@ pub struct ServerConfig {
     /// answers re-run through the engine and cross-checked against the
     /// oracle tolerance. `0` disables the audit, `>= 100` audits every
     /// analytic answer. Divergences are counted on `/metrics`
-    /// (`dls_serve_fastpath_divergence_total`) and treated as fatal in CI.
+    /// (`dls_serve_fastpath_divergence_total`) and treated as fatal in CI;
+    /// audit runs the engine could not finish are counted apart
+    /// (`dls_serve_fastpath_audit_errors_total`).
     pub fastpath_audit_pct: u32,
     /// Test hook: perturb every audited engine re-run so it disagrees
     /// with the analytic answer, proving the divergence counter fires.
@@ -756,8 +758,8 @@ fn build_plan(shared: &Shared, plan: &PlanRequest, key: &str) -> Result<CachedPl
 
 /// The sampled DES audit: re-run an analytic answer through the engine
 /// and count a divergence when the simulated makespan falls outside the
-/// oracle's stated tolerance (or the engine fails outright — an engine
-/// error on a run the fast path accepted is itself a disagreement).
+/// oracle's stated tolerance. A run the engine cannot finish (the event
+/// limit, say) has no makespan to compare; it counts as an audit error.
 fn audit_analytic(
     shared: &Shared,
     scenario: &Scenario,
@@ -767,7 +769,7 @@ fn audit_analytic(
     let simulated = match scenario.execute(&spec.clone().reps(1)) {
         Ok(result) => result.makespan,
         Err(_) => {
-            shared.metrics.fastpath_divergence();
+            shared.metrics.fastpath_audit_error();
             return;
         }
     };

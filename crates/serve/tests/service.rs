@@ -555,6 +555,35 @@ fn fastpath_divergence_injection_fires_the_counter() {
 }
 
 #[test]
+fn fastpath_audit_engine_errors_are_not_divergences() {
+    // The analytic /plan needs no engine run, but its audit re-run hits
+    // the event cap: the answer is still served, and the failed audit
+    // counts as an audit error, not as a disagreement with the oracle.
+    let server = start(ServerConfig {
+        fastpath_audit_pct: 100,
+        max_events: 5,
+        ..quiet_config()
+    });
+    let (status, head, body) = request(server.addr, "POST", "/plan", PLAN);
+    assert_eq!(status, 200, "body: {body}");
+    assert!(head.contains("X-Answer-Source: analytic"), "head: {head}");
+    let m = server.metrics();
+    assert_eq!(m.fastpath_audited_total(), 1);
+    assert_eq!(m.fastpath_audit_errors_total(), 1);
+    assert_eq!(m.fastpath_divergences_total(), 0);
+    let (_, _, metrics) = request(server.addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("dls_serve_fastpath_audit_errors_total 1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("dls_serve_fastpath_divergence_total 0"),
+        "{metrics}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn fastpath_analytic_answer_matches_the_engine() {
     // Cross-check over the wire: the analytic makespan for an eligible
     // run must agree with what the engine reports for the same physics
