@@ -259,13 +259,14 @@ impl FastPath {
     }
 
     /// Deterministic sampling decision for the DES audit: should the
-    /// answer keyed by `key` be cross-checked at a sampling rate of
+    /// answer keyed by `key()` be cross-checked at a sampling rate of
     /// `pct` percent? Hashes the key (FNV-1a) so the decision is a pure
     /// function of the request — identical requests are always either
     /// both audited or both not, preserving response determinism — while
     /// distinct requests spread uniformly over the percentage buckets.
-    /// `pct >= 100` audits everything, `0` nothing.
-    pub fn audit_due(key: &str, pct: u32) -> bool {
+    /// `pct >= 100` audits everything, `0` nothing; at those two rates
+    /// the decision does not depend on the key, so `key` is not called.
+    pub fn audit_due<K: AsRef<str>>(key: impl FnOnce() -> K, pct: u32) -> bool {
         if pct >= 100 {
             return true;
         }
@@ -273,7 +274,7 @@ impl FastPath {
             return false;
         }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_bytes() {
+        for b in key().as_ref().as_bytes() {
             h ^= u64::from(*b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -410,26 +411,33 @@ mod tests {
 
     #[test]
     fn audit_sampling_is_deterministic_and_bounded() {
-        assert!(FastPath::audit_due("anything", 100));
-        assert!(FastPath::audit_due("anything", 250));
-        assert!(!FastPath::audit_due("anything", 0));
+        assert!(FastPath::audit_due(|| "anything", 100));
+        assert!(FastPath::audit_due(|| "anything", 250));
+        assert!(!FastPath::audit_due(|| "anything", 0));
+        // The endpoints settle without rendering the key.
+        let unrendered = || -> String { panic!("key rendered at a settled rate") };
+        assert!(FastPath::audit_due(unrendered, 100));
+        assert!(!FastPath::audit_due(unrendered, 0));
         // Deterministic: the same key always lands in the same bucket.
         for key in ["a", "b", "request-body-42"] {
-            assert_eq!(FastPath::audit_due(key, 50), FastPath::audit_due(key, 50));
+            assert_eq!(
+                FastPath::audit_due(|| key, 50),
+                FastPath::audit_due(|| key, 50)
+            );
         }
         // Monotone in pct: once sampled at p, sampled at every p' > p.
         for i in 0..64 {
             let key = format!("req-{i}");
             let mut prev = false;
             for pct in [1, 10, 25, 50, 75, 99, 100] {
-                let now = FastPath::audit_due(&key, pct);
+                let now = FastPath::audit_due(|| &key, pct);
                 assert!(now || !prev, "sampling must be monotone in pct");
                 prev = now;
             }
         }
         // Roughly uniform: at 50% a few thousand keys split near half.
         let hits = (0..4000)
-            .filter(|i| FastPath::audit_due(&format!("key-{i}"), 50))
+            .filter(|i| FastPath::audit_due(|| format!("key-{i}"), 50))
             .count();
         assert!((1600..=2400).contains(&hits), "50% sampled {hits}/4000");
     }

@@ -13,7 +13,8 @@
 //! Bytes a client sends beyond the current request's body (the next
 //! pipelined request) are preserved in the caller-owned `carry` buffer
 //! and consumed by the next [`read_request`] call; they are never
-//! silently dropped.
+//! silently dropped. [`read_request`] reads from any [`Read`], so the
+//! parser is tested on in-memory byte streams cut at arbitrary points.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -72,19 +73,25 @@ impl From<io::Error> for ReadError {
 /// the bytes past *this* request's body. Pass the same buffer for every
 /// request on a connection. The caller is responsible for setting read
 /// timeouts on the stream beforehand.
-pub fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Request, ReadError> {
+pub fn read_request(stream: &mut impl Read, carry: &mut Vec<u8>) -> Result<Request, ReadError> {
+    let too_large = || {
+        ReadError::Bad(
+            431,
+            "Request Header Fields Too Large",
+            "request head exceeds 8 KiB".into(),
+        )
+    };
     let mut buf = std::mem::take(carry);
     let mut chunk = [0u8; 1024];
+    // The cap counts the head's bytes before the blank line, however the
+    // reads split them: a head within the cap has ended before `buf`
+    // holds the cap plus the blank line's four bytes.
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
             break pos;
         }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::Bad(
-                431,
-                "Request Header Fields Too Large",
-                "request head exceeds 8 KiB".into(),
-            ));
+        if buf.len() >= MAX_HEAD_BYTES + 4 {
+            return Err(too_large());
         }
         let n = stream.read(&mut chunk)?;
         if n == 0 {
@@ -98,6 +105,9 @@ pub fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Reque
         }
         buf.extend_from_slice(&chunk[..n]);
     };
+    if head_end > MAX_HEAD_BYTES {
+        return Err(too_large());
+    }
 
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| ReadError::Bad(400, "Bad Request", "request head is not UTF-8".into()))?;
@@ -301,6 +311,7 @@ pub fn write_error(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn finds_head_boundary() {
@@ -358,6 +369,206 @@ mod tests {
         match read_request(&mut stream, &mut carry) {
             Err(ReadError::Closed) => {}
             other => panic!("expected clean close, got {other:?}"),
+        }
+    }
+
+    /// SplitMix64: builds each case's input from its proptest seed (the
+    /// vendored proptest has no collection strategies).
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: usize, hi: usize) -> usize {
+            lo + (self.next() % (hi - lo + 1) as u64) as usize
+        }
+
+        fn bytes(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| self.next() as u8).collect()
+        }
+    }
+
+    /// A reader that hands its bytes out in slices of random size, from
+    /// one byte up to all that is left or fits the caller's buffer
+    /// (log-uniform, so single bytes and full buffers are both common).
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        mix: Mix,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let left = (self.data.len() - self.pos).min(buf.len());
+            if left == 0 {
+                return Ok(0);
+            }
+            let most = (1usize << self.mix.range(0, 11)).min(left);
+            let n = self.mix.range(1, most);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// One `read_request` outcome, in a form that compares.
+    #[derive(Debug, PartialEq)]
+    enum Parsed {
+        Request {
+            method: String,
+            path: String,
+            body: Vec<u8>,
+            keep_alive: bool,
+        },
+        Bad(u16),
+        Io(io::ErrorKind),
+        Closed,
+    }
+
+    /// Read requests off `stream` up to and including the first error.
+    fn parse_all(stream: &mut impl Read) -> Vec<Parsed> {
+        let mut carry = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let parsed = match read_request(stream, &mut carry) {
+                Ok(r) => Parsed::Request {
+                    method: r.method,
+                    path: r.path,
+                    body: r.body,
+                    keep_alive: r.keep_alive,
+                },
+                Err(ReadError::Bad(status, ..)) => Parsed::Bad(status),
+                Err(ReadError::Io(e)) => Parsed::Io(e.kind()),
+                Err(ReadError::Closed) => Parsed::Closed,
+            };
+            let done = !matches!(parsed, Parsed::Request { .. });
+            out.push(parsed);
+            if done {
+                return out;
+            }
+        }
+    }
+
+    /// A well-formed request (random method and path, with or without a
+    /// query and a `Connection` header, a body of up to 2 KiB) and what
+    /// it must parse to.
+    fn well_formed(mix: &mut Mix) -> (Vec<u8>, Parsed) {
+        let method = ["GET", "POST", "PUT", "DELETE"][mix.range(0, 3)];
+        let mut path = String::new();
+        for _ in 0..mix.range(1, 3) {
+            path.push('/');
+            for _ in 0..mix.range(0, 8) {
+                path.push(char::from(b'a' + mix.range(0, 25) as u8));
+            }
+        }
+        let query = match mix.range(0, 1) {
+            0 => String::new(),
+            _ => format!("?q={}", mix.range(0, 999)),
+        };
+        let (connection, keep_alive) = match mix.range(0, 2) {
+            0 => ("", true),
+            1 => ("Connection: close\r\n", false),
+            _ => ("Connection: keep-alive\r\n", true),
+        };
+        let len = mix.range(0, 2048);
+        let body = mix.bytes(len);
+        let mut wire = format!(
+            "{method} {path}{query} HTTP/1.1\r\nHost: test\r\n{connection}Content-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        wire.extend_from_slice(&body);
+        let parsed = Parsed::Request {
+            method: method.into(),
+            path,
+            body,
+            keep_alive,
+        };
+        (wire, parsed)
+    }
+
+    /// Arbitrary input: random bytes (mostly not UTF-8), a request whose
+    /// head is near or over the 8 KiB cap, or a run of request-shaped
+    /// fragments and junk.
+    fn arbitrary(mix: &mut Mix) -> Vec<u8> {
+        match mix.range(0, 2) {
+            0 => {
+                let len = mix.range(0, 12 * 1024);
+                mix.bytes(len)
+            }
+            1 => {
+                let mut wire = b"POST /plan HTTP/1.1\r\nX-Pad: ".to_vec();
+                let pad = mix.range(MAX_HEAD_BYTES - 512, MAX_HEAD_BYTES + 1536);
+                wire.resize(pad, b'a');
+                wire.extend_from_slice(b"\r\nContent-Length: 3\r\n\r\nabc");
+                wire
+            }
+            _ => {
+                const PARTS: [&[u8]; 12] = [
+                    b"GET / HTTP/1.1",
+                    b"POST /simulate HTTP/1.0",
+                    b"\r\n",
+                    b"\r\n\r\n",
+                    b"Content-Length: 5",
+                    b"Content-Length: 99999999",
+                    b"Content-Length: x",
+                    b"Connection: close",
+                    b"Transfer-Encoding: chunked",
+                    b"\xff\xfe",
+                    b" ",
+                    b"",
+                ];
+                let mut wire = Vec::new();
+                for _ in 0..mix.range(0, 40) {
+                    if mix.range(0, 3) == 0 {
+                        let len = mix.range(0, 16);
+                        wire.extend(mix.bytes(len));
+                    } else {
+                        wire.extend_from_slice(PARTS[mix.range(0, PARTS.len() - 1)]);
+                    }
+                }
+                wire
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pipelined well-formed requests parse to what was sent, the
+        /// same from one whole read as from slices of random size.
+        #[test]
+        fn pipelined_requests_parse_the_same_however_they_arrive(seed in 0u64..u64::MAX) {
+            let mut mix = Mix(seed);
+            let mut wire = Vec::new();
+            let mut expected = Vec::new();
+            for _ in 0..mix.range(1, 4) {
+                let (bytes, parsed) = well_formed(&mut mix);
+                wire.extend_from_slice(&bytes);
+                expected.push(parsed);
+            }
+            expected.push(Parsed::Closed);
+            prop_assert_eq!(&parse_all(&mut wire.as_slice()), &expected);
+            let mut trickle = Trickle { data: wire, pos: 0, mix };
+            prop_assert_eq!(&parse_all(&mut trickle), &expected);
+        }
+
+        /// Arbitrary bytes end in a request or a `ReadError`, never a
+        /// panic, and how they are cut into reads does not change which.
+        #[test]
+        fn arbitrary_bytes_parse_the_same_however_they_arrive(seed in 0u64..u64::MAX) {
+            let mut mix = Mix(seed);
+            let wire = arbitrary(&mut mix);
+            let whole = parse_all(&mut wire.as_slice());
+            let mut trickle = Trickle { data: wire, pos: 0, mix };
+            prop_assert_eq!(parse_all(&mut trickle), whole);
         }
     }
 }

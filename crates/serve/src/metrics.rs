@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use rumr::FastPathMiss;
 
@@ -41,7 +42,12 @@ pub struct Metrics {
     /// Engine answers on fast-path-eligible endpoints, indexed by
     /// `FastPathMiss as usize`.
     fastpath_misses: [AtomicU64; FastPathMiss::ALL.len()],
+    /// Finished audits; bumped last, with `Release`, so a reader that
+    /// loads it with `Acquire` also sees that audit's verdict and time.
     fastpath_audited: AtomicU64,
+    /// Wall time of the finished audits: sum and max, in nanoseconds.
+    fastpath_audit_ns: AtomicU64,
+    fastpath_audit_max_ns: AtomicU64,
     fastpath_divergences: AtomicU64,
     fastpath_audit_errors: AtomicU64,
 }
@@ -156,15 +162,21 @@ impl Metrics {
             .sum()
     }
 
-    /// Count an analytic answer re-run through the engine by the sampled
-    /// audit.
-    pub fn fastpath_audited(&self) {
-        self.fastpath_audited.fetch_add(1, Ordering::Relaxed);
+    /// Count a finished audit of an analytic answer and its wall time.
+    /// Call it last, after the audit's verdict counters: the count is
+    /// published with `Release`, so once [`Self::fastpath_audited_total`]
+    /// counts an audit, that audit's divergence or error and its time are
+    /// visible too.
+    pub fn fastpath_audited(&self, elapsed: Duration) {
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.fastpath_audit_ns.fetch_add(ns, Ordering::Relaxed);
+        self.fastpath_audit_max_ns.fetch_max(ns, Ordering::Relaxed);
+        self.fastpath_audited.fetch_add(1, Ordering::Release);
     }
 
-    /// Audited analytic answers so far.
+    /// Finished audits of analytic answers so far.
     pub fn fastpath_audited_total(&self) -> u64 {
-        self.fastpath_audited.load(Ordering::Relaxed)
+        self.fastpath_audited.load(Ordering::Acquire)
     }
 
     /// Count an audit divergence: the engine re-run disagreed with the
@@ -325,13 +337,27 @@ impl Metrics {
             );
         }
         out.push_str(
-            "# HELP dls_serve_fastpath_audited_total Analytic answers re-run through the engine by the sampled audit.\n",
+            "# HELP dls_serve_fastpath_audited_total Analytic answers re-run through the engine by the sampled audit, counted when the audit finishes.\n",
         );
         out.push_str("# TYPE dls_serve_fastpath_audited_total counter\n");
         let _ = writeln!(
             out,
             "dls_serve_fastpath_audited_total {}",
-            self.fastpath_audited.load(Ordering::Relaxed)
+            self.fastpath_audited_total()
+        );
+        out.push_str(
+            "# HELP dls_serve_fastpath_audit_seconds Wall time of the finished audits (count: dls_serve_fastpath_audited_total).\n",
+        );
+        out.push_str("# TYPE dls_serve_fastpath_audit_seconds summary\n");
+        let _ = writeln!(
+            out,
+            "dls_serve_fastpath_audit_seconds_sum {}",
+            seconds(&self.fastpath_audit_ns)
+        );
+        let _ = writeln!(
+            out,
+            "dls_serve_fastpath_audit_seconds_max {}",
+            seconds(&self.fastpath_audit_max_ns)
         );
         out.push_str(
             "# HELP dls_serve_fastpath_divergence_total Audit re-runs that disagreed with the analytic answer.\n",
@@ -364,6 +390,10 @@ impl Metrics {
         }
         out
     }
+}
+
+fn seconds(ns: &AtomicU64) -> f64 {
+    ns.load(Ordering::Relaxed) as f64 / 1e9
 }
 
 fn ratio(hits: u64, misses: u64) -> f64 {
@@ -401,7 +431,8 @@ mod tests {
         m.fastpath_miss(FastPathMiss::NoOracle);
         m.fastpath_miss(FastPathMiss::PredictionErrors);
         m.fastpath_miss(FastPathMiss::PredictionErrors);
-        m.fastpath_audited();
+        m.fastpath_audited(Duration::from_millis(30));
+        m.fastpath_audited(Duration::from_millis(10));
         m.fastpath_divergence();
         m.fastpath_audit_error();
         let text = m.render();
@@ -427,7 +458,10 @@ mod tests {
         assert!(text.contains("dls_serve_fastpath_miss_total{reason=\"no_oracle\"} 1"));
         assert!(text.contains("dls_serve_fastpath_miss_total{reason=\"inexact_oracle\"} 0"));
         assert_eq!(m.fastpath_engine_total(), 3);
-        assert!(text.contains("dls_serve_fastpath_audited_total 1"));
+        assert!(text.contains("dls_serve_fastpath_audited_total 2"));
+        assert!(text.contains("dls_serve_fastpath_audit_seconds_sum 0.04"));
+        assert!(text.contains("dls_serve_fastpath_audit_seconds_max 0.03"));
+        assert_eq!(m.fastpath_audited_total(), 2);
         assert!(text.contains("dls_serve_fastpath_divergence_total 1"));
         assert!(text.contains("dls_serve_fastpath_audit_errors_total 1"));
         assert_eq!(m.fastpath_analytic_total(), 2);

@@ -14,7 +14,10 @@
 //! `Connection: close`, goes idle past the keep-alive timeout, or sends
 //! something malformed. A keep-alive connection therefore occupies a
 //! worker for its lifetime — size `workers` at or above the number of
-//! concurrent client connections you expect to serve.
+//! concurrent client connections you expect to serve. When a request is
+//! answered analytically and sampled for the DES audit, the worker runs
+//! the audit after writing the response and before reading the
+//! connection's next request (or closing it).
 //!
 //! `/simulate` execution happens on engine shards, not on HTTP workers:
 //! each decoded request is routed by a stable hash of its scenario
@@ -83,9 +86,14 @@ pub struct ServerConfig {
     /// Sampled-DES-audit rate: the percentage of analytic fast-path
     /// answers re-run through the engine and cross-checked against the
     /// oracle tolerance. `0` disables the audit, `>= 100` audits every
-    /// analytic answer. Divergences are counted on `/metrics`
-    /// (`dls_serve_fastpath_divergence_total`) and treated as fatal in CI;
-    /// audit runs the engine could not finish are counted apart
+    /// analytic answer. An audit runs on the worker that wrote the answer,
+    /// after the response is written and before the connection's next
+    /// request is read, so a client sees its counters once it has the
+    /// connection's next response (or EOF after `Connection: close`).
+    /// Finished audits are counted on `/metrics`
+    /// (`dls_serve_fastpath_audited_total`), divergences apart
+    /// (`dls_serve_fastpath_divergence_total`, fatal in CI), and so are
+    /// audit runs the engine could not finish
     /// (`dls_serve_fastpath_audit_errors_total`).
     pub fastpath_audit_pct: u32,
     /// Test hook: perturb every audited engine re-run so it disagrees
@@ -420,7 +428,11 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             Err(ReadError::Io(_)) | Err(ReadError::Closed) => return,
         };
         let keep = request.keep_alive;
-        handle_request(shared, &mut stream, request);
+        // The answer is written and observed; its sampled audit runs now,
+        // before the next request is read or the connection closes.
+        if let Some(audit) = handle_request(shared, &mut stream, request) {
+            audit_analytic(shared, audit);
+        }
         if !keep || shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -428,13 +440,15 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
 }
 
 /// Route one request. `/simulate` decodes here and dispatches to an
-/// engine shard; everything else is handled inline.
+/// engine shard; everything else is handled inline. `/plan` and
+/// `/simulate` hand back the audit of an analytic answer sampled for one,
+/// for the caller to run once the response is out.
 ///
 /// Every endpoint is also reachable under the `/v1` path prefix (the
 /// versioned spelling of the same contract — see `docs/SERVICE.md`); the
 /// prefix is stripped before dispatch so both spellings share handlers,
 /// metrics labels, and cache keys.
-fn handle_request(shared: &Shared, stream: &mut TcpStream, mut request: Request) {
+fn handle_request(shared: &Shared, stream: &mut TcpStream, mut request: Request) -> Option<Audit> {
     if let Some(rest) = request.path.strip_prefix("/v1") {
         if rest.is_empty() {
             request.path = "/".into();
@@ -449,16 +463,27 @@ fn handle_request(shared: &Shared, stream: &mut TcpStream, mut request: Request)
             Some(b) => b,
             None => {
                 respond_400(shared, stream, &request, "body is not UTF-8", start, keep);
-                return;
+                return None;
             }
         };
-        match SimulateRequest::from_json_str(body) {
+        return match SimulateRequest::from_json_str(body) {
             Ok(sim) => handle_simulate(shared, stream, Box::new(sim), keep),
-            Err(e) => respond_bad_body(shared, stream, &request, &e, start, keep),
-        }
-        return;
+            Err(e) => {
+                respond_bad_body(shared, stream, &request, &e, start, keep);
+                None
+            }
+        };
+    }
+    if request.method == "POST" && request.path == "/plan" {
+        let start = Instant::now();
+        let (status, audit) = handle_plan(shared, stream, &request, keep);
+        shared
+            .metrics
+            .observe("/plan", status, start.elapsed().as_secs_f64());
+        return audit;
     }
     handle_simple(shared, stream, &request, keep);
+    None
 }
 
 /// Manual scenario equality ([`Scenario`] has no `PartialEq`: cost
@@ -528,7 +553,8 @@ fn test_delay(shared: &Shared) {
     }
 }
 
-/// Routes everything except `/simulate` (which goes through the shards).
+/// Routes everything except `/simulate` (which goes through the shards)
+/// and `/plan` (whose analytic answers may carry an audit).
 fn handle_simple(shared: &Shared, stream: &mut TcpStream, request: &Request, keep: bool) {
     let start = Instant::now();
     let status = match (request.method.as_str(), request.path.as_str()) {
@@ -550,13 +576,6 @@ fn handle_simple(shared: &Shared, stream: &mut TcpStream, request: &Request, kee
                 keep,
             );
             200
-        }
-        ("POST", "/plan") => {
-            let status = handle_plan(shared, stream, request, keep);
-            shared
-                .metrics
-                .observe("/plan", status, start.elapsed().as_secs_f64());
-            return;
         }
         ("POST", "/jobs") => {
             let status = handle_jobs_submit(shared, stream, request, keep);
@@ -634,25 +653,32 @@ fn append_eviction_metrics(shared: &Shared, body: &mut String) {
 }
 
 /// `POST /plan`: canonical-key cache lookup, else solve the planner once
-/// on an error-free full-trace run and cache prototype + body.
-fn handle_plan(shared: &Shared, stream: &mut TcpStream, request: &Request, keep: bool) -> u16 {
+/// on an error-free full-trace run and cache prototype + body. Returns the
+/// status and, for a freshly solved analytic answer sampled for it, the
+/// audit to run after the response.
+fn handle_plan(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    request: &Request,
+    keep: bool,
+) -> (u16, Option<Audit>) {
     test_delay(shared);
     let body = match request.body_str() {
         Some(b) => b,
         None => {
             let _ = write_error(stream, 400, "Bad Request", "body is not UTF-8", keep);
-            return 400;
+            return (400, None);
         }
     };
     let plan = match PlanRequest::from_json_str(body) {
         Ok(p) => p,
         Err(e) if e.is_non_finite() => {
             let _ = write_error(stream, 422, "Unprocessable Entity", &e.0, keep);
-            return 422;
+            return (422, None);
         }
         Err(e) => {
             let _ = write_error(stream, 400, "Bad Request", &e.0, keep);
-            return 400;
+            return (400, None);
         }
     };
     let key = plan.cache_key();
@@ -668,11 +694,11 @@ fn handle_plan(shared: &Shared, stream: &mut TcpStream, request: &Request, keep:
             &["X-Plan-Cache: hit", &source],
             keep,
         );
-        return 200;
+        return (200, None);
     }
     shared.metrics.cache_miss();
     match build_plan(shared, &plan, &key) {
-        Ok(cached) => {
+        Ok((cached, audit)) => {
             let body = cached.body.clone();
             let source = format!("X-Answer-Source: {}", cached.source);
             shared.cache.insert(key, Arc::new(cached));
@@ -685,11 +711,11 @@ fn handle_plan(shared: &Shared, stream: &mut TcpStream, request: &Request, keep:
                 &["X-Plan-Cache: miss", &source],
                 keep,
             );
-            200
+            (200, audit)
         }
         Err((status, reason, msg)) => {
             let _ = write_error(stream, status, reason, &msg, keep);
-            status
+            (status, None)
         }
     }
 }
@@ -703,8 +729,13 @@ type PlanFailure = (u16, &'static str, String);
 /// case the closed forms answer — with the full-trace engine run as
 /// fallback, whose body reports the same oracle's prediction. A
 /// configurable sample of analytic answers is cross-checked against the
-/// engine (the sampled DES audit).
-fn build_plan(shared: &Shared, plan: &PlanRequest, key: &str) -> Result<CachedPlan, PlanFailure> {
+/// engine (the sampled DES audit): such an answer comes back with its
+/// [`Audit`], which the caller runs after writing the response.
+fn build_plan(
+    shared: &Shared,
+    plan: &PlanRequest,
+    key: &str,
+) -> Result<(CachedPlan, Option<Audit>), PlanFailure> {
     let prototype = plan
         .kind
         .prototype(&plan.platform, plan.w_total)
@@ -720,18 +751,21 @@ fn build_plan(shared: &Shared, plan: &PlanRequest, key: &str) -> Result<CachedPl
     let miss = match FastPath::decide(oracle.as_deref()) {
         FastPathDecision::Analytic(answer) => {
             shared.metrics.fastpath_analytic();
-            if FastPath::audit_due(key, shared.config.fastpath_audit_pct) {
-                shared.metrics.fastpath_audited();
-                let audit_spec = rumr::RunSpec::new(plan.kind)
-                    .max_events(shared.config.max_events)
-                    .with_prototype(prototype.clone());
-                audit_analytic(shared, &scenario, &audit_spec, &answer);
-            }
-            return Ok(CachedPlan {
+            let body = plan_body_analytic(plan, &answer);
+            let audit =
+                FastPath::audit_due(|| key, shared.config.fastpath_audit_pct).then(|| Audit {
+                    spec: rumr::RunSpec::new(plan.kind)
+                        .max_events(shared.config.max_events)
+                        .with_prototype(prototype.clone()),
+                    scenario,
+                    answer,
+                });
+            let cached = CachedPlan {
                 prototype,
-                body: plan_body_analytic(plan, &answer),
+                body,
                 source: "analytic",
-            });
+            };
+            return Ok((cached, audit));
         }
         FastPathDecision::Engine(miss) => miss,
     };
@@ -749,38 +783,45 @@ fn build_plan(shared: &Shared, plan: &PlanRequest, key: &str) -> Result<CachedPl
         other => (500u16, "Internal Server Error", other.to_string()),
     })?;
     let prediction = oracle.map(|o| o.makespan());
-    Ok(CachedPlan {
+    let cached = CachedPlan {
         prototype,
         body: plan_body(plan, &result, prediction),
         source: "engine",
-    })
+    };
+    Ok((cached, None))
+}
+
+/// The sampled DES audit of one analytic answer: the scenario, the spec
+/// carrying the solved prototype, and the answer to check. The handler
+/// hands it back, and [`handle_connection`] runs it once the response is
+/// written.
+struct Audit {
+    scenario: Scenario,
+    spec: rumr::RunSpec,
+    answer: FastPathAnswer,
 }
 
 /// The sampled DES audit: re-run an analytic answer through the engine
 /// and count a divergence when the simulated makespan falls outside the
 /// oracle's stated tolerance. A run the engine cannot finish (the event
 /// limit, say) has no makespan to compare; it counts as an audit error.
-fn audit_analytic(
-    shared: &Shared,
-    scenario: &Scenario,
-    spec: &rumr::RunSpec,
-    answer: &FastPathAnswer,
-) {
-    let simulated = match scenario.execute(&spec.clone().reps(1)) {
-        Ok(result) => result.makespan,
-        Err(_) => {
-            shared.metrics.fastpath_audit_error();
-            return;
+/// The audit is counted, with its wall time, only once it has finished.
+fn audit_analytic(shared: &Shared, audit: Audit) {
+    let start = Instant::now();
+    match audit.scenario.execute(&audit.spec.reps(1)) {
+        Ok(result) => {
+            let simulated = if shared.config.fastpath_divergence_inject {
+                result.makespan * 2.0
+            } else {
+                result.makespan
+            };
+            if !audit.answer.agrees_with(simulated) {
+                shared.metrics.fastpath_divergence();
+            }
         }
-    };
-    let simulated = if shared.config.fastpath_divergence_inject {
-        simulated * 2.0
-    } else {
-        simulated
-    };
-    if !answer.agrees_with(simulated) {
-        shared.metrics.fastpath_divergence();
+        Err(_) => shared.metrics.fastpath_audit_error(),
     }
+    shared.metrics.fastpath_audited(start.elapsed());
 }
 
 fn plan_body(plan: &PlanRequest, result: &SimResult, prediction: Option<Prediction>) -> String {
@@ -1186,13 +1227,14 @@ fn jobs_body(id: usize, spec: &rumr::MultiRunSpec, result: &MultiRunResult) -> S
 
 /// `POST /simulate`: answer eligible runs from the analytic fast path,
 /// else serve from the response cache if possible, else dispatch to the
-/// scenario's engine shard and relay its outcome.
+/// scenario's engine shard and relay its outcome. Returns the audit of an
+/// analytic answer sampled for one.
 fn handle_simulate(
     shared: &Shared,
     stream: &mut TcpStream,
     mut sim: Box<SimulateRequest>,
     keep: bool,
-) {
+) -> Option<Audit> {
     let start = Instant::now();
     // Analytic fast path: deterministic model-conforming runs with an
     // exact oracle skip the cache and the shards entirely. An ineligible
@@ -1207,13 +1249,6 @@ fn handle_simulate(
             FastPathDecision::Analytic(answer) => {
                 shared.metrics.fastpath_analytic();
                 test_delay(shared);
-                if FastPath::audit_due(&sim.canonical(), shared.config.fastpath_audit_pct) {
-                    shared.metrics.fastpath_audited();
-                    let mut audit_spec = sim.spec.clone();
-                    audit_spec.config = effective_config(shared, &audit_spec);
-                    audit_spec.prototype = prototype;
-                    audit_analytic(shared, &sim.scenario, &audit_spec, &answer);
-                }
                 let body = simulate_body_analytic(&sim.spec, &answer);
                 let _ = write_response(
                     stream,
@@ -1227,7 +1262,19 @@ fn handle_simulate(
                 shared
                     .metrics
                     .observe("/simulate", 200, start.elapsed().as_secs_f64());
-                return;
+                // Only the audit needs the sampling key, so it is rendered
+                // behind the write, and only at a rate that depends on it.
+                if !FastPath::audit_due(|| sim.canonical(), shared.config.fastpath_audit_pct) {
+                    return None;
+                }
+                let SimulateRequest { scenario, mut spec } = *sim;
+                spec.config = effective_config(shared, &spec);
+                spec.prototype = prototype;
+                return Some(Audit {
+                    scenario,
+                    spec,
+                    answer,
+                });
             }
             FastPathDecision::Engine(miss) => {
                 shared.metrics.fastpath_miss(miss);
@@ -1254,7 +1301,7 @@ fn handle_simulate(
             shared
                 .metrics
                 .observe("/simulate", 200, start.elapsed().as_secs_f64());
-            return;
+            return None;
         }
         shared.metrics.sim_cache_miss();
         Some(key)
@@ -1321,6 +1368,7 @@ fn handle_simulate(
     shared
         .metrics
         .observe("/simulate", status, start.elapsed().as_secs_f64());
+    None
 }
 
 /// One engine shard: pops its queue and keeps a warm runner alive across

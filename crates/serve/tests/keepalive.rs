@@ -362,3 +362,37 @@ fn same_scenario_requests_route_to_one_shard() {
     );
     server.shutdown();
 }
+
+#[test]
+fn audits_are_counted_before_the_next_response() {
+    // An analytic answer's audit runs after its response is written and
+    // before the connection's next request is read: once the response to
+    // the next request arrives, the audit and its verdict are counted.
+    // The hook makes every audit diverge, so the verdicts show too.
+    let server = Server::start(ServerConfig {
+        fastpath_audit_pct: 100,
+        fastpath_divergence_inject: true,
+        ..config()
+    })
+    .expect("server binds");
+    let eligible = r#"{"platform": {"homogeneous": {"n": 8, "ratio": 1.5,
+        "comp_latency": 0.2, "net_latency": 0.1}},
+        "w_total": 1000,
+        "run": {"scheduler": {"kind": "umr"}, "seed": 3, "reps": 2}}"#;
+    let mut stream = connect(server.addr);
+    let mut carry = Vec::new();
+    for (path, body) in [("/plan", PLAN), ("/simulate", eligible)] {
+        send(&mut stream, "POST", path, body, false);
+        let (status, head, response) = read_framed(&mut stream, &mut carry);
+        assert_eq!(status, 200, "{path}: {response}");
+        assert!(head.contains("X-Answer-Source: analytic"), "{path}: {head}");
+    }
+    send(&mut stream, "GET", "/healthz", "", false);
+    let (status, _, _) = read_framed(&mut stream, &mut carry);
+    assert_eq!(status, 200);
+    let m = server.metrics();
+    assert_eq!(m.fastpath_audited_total(), 2);
+    assert_eq!(m.fastpath_divergences_total(), 2);
+    drop(stream);
+    server.shutdown();
+}

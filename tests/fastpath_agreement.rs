@@ -247,11 +247,11 @@ proptest! {
     #[test]
     fn audit_sampling_is_monotone_for_random_keys(key_seed in 0u64..u64::MAX) {
         let key = format!("{{\"w_total\":{},\"seed\":{}}}", key_seed % 10_000, key_seed);
-        prop_assert!(FastPath::audit_due(&key, 100));
-        prop_assert!(!FastPath::audit_due(&key, 0));
+        prop_assert!(FastPath::audit_due(|| &key, 100));
+        prop_assert!(!FastPath::audit_due(|| &key, 0));
         let mut prev = false;
         for pct in [1u32, 5, 20, 50, 80, 99, 100] {
-            let now = FastPath::audit_due(&key, pct);
+            let now = FastPath::audit_due(|| &key, pct);
             prop_assert!(now || !prev, "sampling not monotone at {}% for {:?}", pct, key);
             prev = now;
         }
