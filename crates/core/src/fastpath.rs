@@ -273,13 +273,20 @@ impl FastPath {
         if pct == 0 {
             return false;
         }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key().as_ref().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % 100) < u64::from(pct)
+        (fnv1a(key().as_ref().as_bytes()) % 100) < u64::from(pct)
     }
+}
+
+/// The 64-bit FNV-1a hash of `bytes`: the audit sample, the service's
+/// shard routes and its load generator's ring all hash with it, so a
+/// route or a sample depends only on the key's bytes.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 #[cfg(test)]
@@ -440,5 +447,12 @@ mod tests {
             .filter(|i| FastPath::audit_due(|| format!("key-{i}"), 50))
             .count();
         assert!((1600..=2400).contains(&hits), "50% sampled {hits}/4000");
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

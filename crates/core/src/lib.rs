@@ -61,7 +61,7 @@ pub mod kind;
 pub mod multirun;
 pub mod scenario;
 
-pub use fastpath::{FastPath, FastPathAnswer, FastPathDecision, FastPathMiss};
+pub use fastpath::{fnv1a, FastPath, FastPathAnswer, FastPathDecision, FastPathMiss};
 pub use kind::{BuildError, PlanError, SchedulerKind, SchedulerPrototype};
 pub use multirun::{MultiJob, MultiRunResult, MultiRunSpec};
 pub use scenario::{Clairvoyant, RobustnessReport, RunError, RunSpec, Scenario, ScenarioRunner};

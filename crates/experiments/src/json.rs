@@ -198,6 +198,41 @@ pub fn write_num(out: &mut String, x: f64) {
     }
 }
 
+/// Append `head` (the punctuation and key before a value), then the
+/// number `x` through [`write_num`].
+pub fn put_num(out: &mut String, head: &str, x: f64) {
+    out.push_str(head);
+    write_num(out, x);
+}
+
+/// [`put_num`] for an optional number: `null` when absent.
+pub fn put_opt(out: &mut String, head: &str, x: Option<f64>) {
+    out.push_str(head);
+    match x {
+        Some(v) => write_num(out, v),
+        None => out.push_str("null"),
+    }
+}
+
+/// [`put_num`] for an integer, written exactly: a `u64` above 2^53 has
+/// no exact `f64`.
+pub fn put_int(out: &mut String, head: &str, n: u64) {
+    out.push_str(head);
+    let _ = write!(out, "{n}");
+}
+
+/// [`put_num`] for a boolean.
+pub fn put_bool(out: &mut String, head: &str, b: bool) {
+    out.push_str(head);
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// [`put_num`] for a string, quoted and escaped.
+pub fn put_str(out: &mut String, head: &str, s: &str) {
+    out.push_str(head);
+    write_str(out, s);
+}
+
 struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -457,6 +492,26 @@ mod tests {
         assert_eq!(json_num(f64::NAN), "null");
         assert_eq!(json_num(f64::INFINITY), "null");
         assert_eq!(json_num(0.5), "0.5");
+    }
+
+    #[test]
+    fn put_helpers_write_head_then_value() {
+        let mut out = String::new();
+        put_num(&mut out, "{\"a\":", 0.5);
+        put_opt(&mut out, ",\"b\":", None);
+        put_opt(&mut out, ",\"c\":", Some(-0.0));
+        put_int(&mut out, ",\"d\":", u64::MAX);
+        put_bool(&mut out, ",\"e\":", true);
+        put_str(&mut out, ",\"f\":", "x\"y\n");
+        out.push('}');
+        assert_eq!(
+            out,
+            "{\"a\":0.5,\"b\":null,\"c\":-0,\"d\":18446744073709551615,\"e\":true,\"f\":\"x\\\"y\\n\"}"
+        );
+        assert_eq!(
+            parse_json(&out).unwrap().get("f").unwrap().str(),
+            Some("x\"y\n")
+        );
     }
 
     /// The `\uXXXX` escapes of some UTF-16 code units.

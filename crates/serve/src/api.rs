@@ -14,10 +14,10 @@
 //! for that document, keys sorted and no whitespace. The `write_*`
 //! functions below write that text straight from the decoded values, with
 //! the fields already in sorted order and every number through
-//! [`write_num`]. The tests pin it byte for byte against a JSON-tree
+//! [`put_num`]. The tests pin it byte for byte against a JSON-tree
 //! reference, and check that decoding it gives the request back.
 
-use dls_experiments::json::{parse_json, write_num, Json};
+use dls_experiments::json::{parse_json, put_bool, put_num, put_opt, Json};
 use rumr::sim::FaultAction;
 use rumr::{
     ErrorModel, FaultModel, FaultPlan, HomogeneousParams, MultiJob, MultiPolicy, MultiRunSpec,
@@ -118,28 +118,6 @@ fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, ApiError> {
             .ok_or_else(|| ApiError(format!("field '{key}' must be a string"))),
         None => err(format!("missing field '{key}'")),
     }
-}
-
-/// Append `head` (the punctuation and key before a value), then the
-/// number `x`.
-fn put_num(out: &mut String, head: &str, x: f64) {
-    out.push_str(head);
-    write_num(out, x);
-}
-
-/// [`put_num`] for an optional number: `null` when absent.
-fn put_opt(out: &mut String, head: &str, x: Option<f64>) {
-    out.push_str(head);
-    match x {
-        Some(v) => write_num(out, v),
-        None => out.push_str("null"),
-    }
-}
-
-/// [`put_num`] for a boolean.
-fn put_bool(out: &mut String, head: &str, b: bool) {
-    out.push_str(head);
-    out.push_str(if b { "true" } else { "false" });
 }
 
 // ---------------------------------------------------------------------------

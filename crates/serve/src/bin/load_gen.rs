@@ -51,12 +51,8 @@ use std::time::{Duration, Instant};
 // Consistent-hash routing
 // ---------------------------------------------------------------------------
 
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+fn ring_hash(key: &[u8]) -> u64 {
+    let mut h = rumr::fnv1a(key);
     // Finalizer: raw FNV has weak avalanche on short, near-identical
     // keys (vnode labels, bodies differing in one seed digit), which
     // skews ring arcs badly.
@@ -75,7 +71,7 @@ fn build_ring(addrs: &[String]) -> Vec<(u64, usize)> {
     let mut ring: Vec<(u64, usize)> = Vec::with_capacity(addrs.len() * VNODES as usize);
     for (i, addr) in addrs.iter().enumerate() {
         for v in 0..VNODES {
-            ring.push((fnv1a(format!("{addr}#{v}").as_bytes()), i));
+            ring.push((ring_hash(format!("{addr}#{v}").as_bytes()), i));
         }
     }
     ring.sort_unstable();
@@ -83,7 +79,7 @@ fn build_ring(addrs: &[String]) -> Vec<(u64, usize)> {
 }
 
 fn route(ring: &[(u64, usize)], key: &[u8]) -> usize {
-    let h = fnv1a(key);
+    let h = ring_hash(key);
     match ring.binary_search_by(|&(v, _)| v.cmp(&h)) {
         Ok(i) => ring[i].1,
         Err(i) if i < ring.len() => ring[i].1,

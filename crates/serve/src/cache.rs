@@ -32,8 +32,9 @@ use crate::sync::lock;
 pub struct CachedPlan {
     /// Solved scheduler, cloneable into fresh instances.
     pub prototype: SchedulerPrototype,
-    /// The JSON body `/plan` responds with.
-    pub body: String,
+    /// The JSON body `/plan` responds with, shared with every response
+    /// that serves it.
+    pub body: Arc<String>,
     /// How the body's makespan was produced — `"analytic"` (oracle closed
     /// form) or `"engine"` (full-trace DES run). Replayed as the
     /// `X-Answer-Source` header on cache hits.
@@ -137,7 +138,7 @@ mod tests {
             .expect("solvable");
         Arc::new(CachedPlan {
             prototype,
-            body: tag.to_string(),
+            body: Arc::new(tag.to_string()),
             source: "engine",
         })
     }
@@ -158,7 +159,7 @@ mod tests {
         // Re-inserting an existing key is an update, not an eviction.
         cache.insert("a".into(), plan("a2"));
         assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.get("a").unwrap().body, "a2");
+        assert_eq!(cache.get("a").unwrap().body.as_str(), "a2");
     }
 
     #[test]

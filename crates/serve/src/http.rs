@@ -17,7 +17,9 @@
 //! parser is tested on in-memory byte streams cut at arbitrary points.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::sync::Arc;
+
+use dls_experiments::json::put_str;
 
 /// Largest accepted request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -50,9 +52,9 @@ impl Request {
 #[derive(Debug)]
 pub enum ReadError {
     /// Malformed request line/headers, or over a size cap; the given
-    /// status/reason should be written back, then the connection closed
-    /// (framing can no longer be trusted).
-    Bad(u16, &'static str, String),
+    /// status and message should be written back, then the connection
+    /// closed (framing can no longer be trusted).
+    Bad(u16, String),
     /// The socket failed or timed out mid-request; nothing can be
     /// written.
     Io(io::Error),
@@ -74,13 +76,7 @@ impl From<io::Error> for ReadError {
 /// request on a connection. The caller is responsible for setting read
 /// timeouts on the stream beforehand.
 pub fn read_request(stream: &mut impl Read, carry: &mut Vec<u8>) -> Result<Request, ReadError> {
-    let too_large = || {
-        ReadError::Bad(
-            431,
-            "Request Header Fields Too Large",
-            "request head exceeds 8 KiB".into(),
-        )
-    };
+    let too_large = || ReadError::Bad(431, "request head exceeds 8 KiB".into());
     let mut buf = std::mem::take(carry);
     let mut chunk = [0u8; 1024];
     // The cap counts the head's bytes before the blank line, however the
@@ -110,17 +106,17 @@ pub fn read_request(stream: &mut impl Read, carry: &mut Vec<u8>) -> Result<Reque
     }
 
     let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| ReadError::Bad(400, "Bad Request", "request head is not UTF-8".into()))?;
+        .map_err(|_| ReadError::Bad(400, "request head is not UTF-8".into()))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
-        .ok_or_else(|| ReadError::Bad(400, "Bad Request", "empty request line".into()))?
+        .ok_or_else(|| ReadError::Bad(400, "empty request line".into()))?
         .to_string();
     let target = parts
         .next()
-        .ok_or_else(|| ReadError::Bad(400, "Bad Request", "missing request target".into()))?;
+        .ok_or_else(|| ReadError::Bad(400, "missing request target".into()))?;
     let path = target.split('?').next().unwrap_or(target).to_string();
     // HTTP/1.1 defaults to persistent connections; everything else (1.0,
     // or no version token at all) defaults to close.
@@ -130,9 +126,10 @@ pub fn read_request(stream: &mut impl Read, carry: &mut Vec<u8>) -> Result<Reque
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                let length = value.trim().parse().map_err(|_| {
-                    ReadError::Bad(400, "Bad Request", "invalid Content-Length".into())
-                })?;
+                let length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| ReadError::Bad(400, "invalid Content-Length".into()))?;
                 // Differing values make the body's framing ambiguous: a
                 // proxy that honours another one would frame a different
                 // body (request smuggling). RFC 9112 §6.3 requires a 400;
@@ -140,7 +137,6 @@ pub fn read_request(stream: &mut impl Read, carry: &mut Vec<u8>) -> Result<Reque
                 if content_length.is_some_and(|prev| prev != length) {
                     return Err(ReadError::Bad(
                         400,
-                        "Bad Request",
                         "conflicting Content-Length headers".into(),
                     ));
                 }
@@ -148,7 +144,6 @@ pub fn read_request(stream: &mut impl Read, carry: &mut Vec<u8>) -> Result<Reque
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 return Err(ReadError::Bad(
                     501,
-                    "Not Implemented",
                     "transfer encodings are not supported".into(),
                 ));
             } else if name.eq_ignore_ascii_case("connection") {
@@ -163,11 +158,7 @@ pub fn read_request(stream: &mut impl Read, carry: &mut Vec<u8>) -> Result<Reque
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return Err(ReadError::Bad(
-            413,
-            "Payload Too Large",
-            "request body exceeds 1 MiB".into(),
-        ));
+        return Err(ReadError::Bad(413, "request body exceeds 1 MiB".into()));
     }
 
     let body_start = head_end + 4;
@@ -240,78 +231,122 @@ pub fn error_code(status: u16) -> &'static str {
     }
 }
 
-/// The unified JSON error body (v1 contract):
-/// `{"api_version", "code", "error", "detail"}`. `code` is the stable
-/// machine-readable slug for the status, `error` the one-line human
-/// message, `detail` an optional longer hint (`null` when absent).
-pub fn error_body(status: u16, message: &str, detail: Option<&str>) -> String {
-    let escape = dls_experiments::json::json_escape;
-    let detail = match detail {
-        Some(d) => format!("\"{}\"", escape(d)),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"api_version\":\"{API_VERSION}\",\"code\":\"{}\",\"error\":\"{}\",\"detail\":{detail}}}",
-        error_code(status),
-        escape(message)
-    )
-}
-
-/// Write a complete response and flush. `extra_headers` lines must be
-/// pre-formatted without the trailing CRLF (e.g. `"Retry-After: 1"`).
-/// `keep_alive` selects the `Connection` header; the status line, body,
-/// and every other header are byte-identical either way.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    extra_headers: &[&str],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\nX-API-Version: {API_VERSION}\r\n",
-        body.len()
-    );
-    for h in extra_headers {
-        head.push_str(h);
-        head.push_str("\r\n");
+/// The reason phrase of the status line: one per status the service
+/// sends.
+fn reason_phrase(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        202 => "Accepted",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        413 => "Payload Too Large",
+        422 => "Unprocessable Entity",
+        431 => "Request Header Fields Too Large",
+        501 => "Not Implemented",
+        503 => "Service Unavailable",
+        _ => "Internal Server Error",
     }
-    head.push_str("\r\n");
-    // One write: head + body in separate segments would trip the
-    // Nagle / delayed-ACK interaction (~40 ms per response).
-    let mut wire = head.into_bytes();
-    wire.extend_from_slice(body);
-    stream.write_all(&wire)?;
-    stream.flush()
 }
 
-/// Convenience: the unified JSON error body (see [`error_body`]) with the
-/// given status.
-pub fn write_error(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    message: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response(
-        stream,
-        status,
-        reason,
-        "application/json",
-        error_body(status, message, None).as_bytes(),
-        &[],
-        keep_alive,
-    )
+/// One response: the status, the content type, the body, and any extra
+/// header lines. A body is shared, not copied, with the caches and the
+/// job table that serve it again.
+#[derive(Debug, Clone)]
+pub struct Response {
+    /// HTTP status code; the reason phrase follows from it.
+    pub status: u16,
+    /// The `Content-Type` header's value.
+    pub content_type: &'static str,
+    /// The body.
+    pub body: Arc<String>,
+    /// Extra header lines, each ended by CRLF.
+    pub headers: String,
+}
+
+impl Response {
+    /// A JSON response.
+    pub fn json(status: u16, body: impl Into<Arc<String>>) -> Self {
+        Response {
+            status,
+            content_type: "application/json",
+            body: body.into(),
+            headers: String::new(),
+        }
+    }
+
+    /// A `200 OK` response of another content type.
+    pub fn text(content_type: &'static str, body: String) -> Self {
+        Response {
+            content_type,
+            ..Response::json(200, body)
+        }
+    }
+
+    /// The unified JSON error body (v1 contract):
+    /// `{"api_version", "code", "error", "detail"}`. `code` is the stable
+    /// slug of the status ([`error_code`]), `error` the one-line message,
+    /// and `detail` is always `null`.
+    pub fn error(status: u16, message: &str) -> Self {
+        let mut body = String::with_capacity(72 + message.len());
+        put_str(&mut body, r#"{"api_version":"#, API_VERSION);
+        put_str(&mut body, r#","code":"#, error_code(status));
+        put_str(&mut body, r#","error":"#, message);
+        body.push_str(r#","detail":null}"#);
+        Response::json(status, body)
+    }
+
+    /// Add the header line `name: value`.
+    pub fn header(mut self, name: &str, value: &str) -> Self {
+        for part in [name, ": ", value, "\r\n"] {
+            self.headers.push_str(part);
+        }
+        self
+    }
+
+    /// Write the response and flush. `keep_alive` selects the
+    /// `Connection` header; every other byte is the same either way.
+    pub fn write(&self, stream: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        let mut wire = Vec::with_capacity(160 + self.headers.len() + self.body.len());
+        let _ = write!(
+            wire,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\nX-API-Version: {API_VERSION}\r\n{}\r\n",
+            self.status,
+            reason_phrase(self.status),
+            self.content_type,
+            self.body.len(),
+            self.headers,
+        );
+        // One write: head + body in separate segments would trip the
+        // Nagle / delayed-ACK interaction (~40 ms per response).
+        wire.extend_from_slice(self.body.as_bytes());
+        stream.write_all(&wire)?;
+        stream.flush()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::net::TcpStream;
+
+    #[test]
+    fn response_head_follows_from_the_status() {
+        let mut wire = Vec::new();
+        let response = Response::error(503, "queue \"full\"").header("Retry-After", "1");
+        response.write(&mut wire, false).unwrap();
+        let body =
+            r#"{"api_version":"v1","code":"unavailable","error":"queue \"full\"","detail":null}"#;
+        let head = format!(
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\nX-API-Version: v1\r\n\
+             Retry-After: 1\r\n\r\n",
+            body.len()
+        );
+        assert_eq!(String::from_utf8(wire).unwrap(), head + body);
+    }
 
     #[test]
     fn finds_head_boundary() {
@@ -444,7 +479,7 @@ mod tests {
                     body: r.body,
                     keep_alive: r.keep_alive,
                 },
-                Err(ReadError::Bad(status, ..)) => Parsed::Bad(status),
+                Err(ReadError::Bad(status, _)) => Parsed::Bad(status),
                 Err(ReadError::Io(e)) => Parsed::Io(e.kind()),
                 Err(ReadError::Closed) => Parsed::Closed,
             };

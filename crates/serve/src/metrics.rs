@@ -28,8 +28,8 @@ struct Latency {
 /// `Send + Sync`.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    requests: Mutex<BTreeMap<(String, u16), u64>>,
-    latency: Mutex<BTreeMap<String, Latency>>,
+    requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
+    latency: Mutex<BTreeMap<&'static str, Latency>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     sim_cache_hits: AtomicU64,
@@ -59,13 +59,13 @@ impl Metrics {
     }
 
     /// Record a completed request: endpoint label, response status, wall
-    /// time spent handling it.
-    pub fn observe(&self, endpoint: &str, status: u16, seconds: f64) {
-        *lock(&self.requests)
-            .entry((endpoint.to_string(), status))
-            .or_insert(0) += 1;
+    /// time spent handling it. The label is a fixed string from the
+    /// route table, never text from the request, so the series stay few
+    /// and every label is valid exposition text.
+    pub fn observe(&self, endpoint: &'static str, status: u16, seconds: f64) {
+        *lock(&self.requests).entry((endpoint, status)).or_insert(0) += 1;
         let mut latency = lock(&self.latency);
-        let entry = latency.entry(endpoint.to_string()).or_default();
+        let entry = latency.entry(endpoint).or_default();
         entry.sum += seconds;
         entry.count += 1;
         entry.max = entry.max.max(seconds);
@@ -212,8 +212,9 @@ impl Metrics {
         lock(&self.shard_requests).clone()
     }
 
-    /// Render the Prometheus text exposition format.
-    pub fn render(&self) -> String {
+    /// Render the Prometheus text exposition format, with the eviction
+    /// counters of the plan and `/simulate` caches, which the caches keep.
+    pub fn render(&self, plan_evictions: u64, sim_evictions: u64) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("# HELP dls_serve_requests_total Requests handled, by endpoint and status.\n");
         out.push_str("# TYPE dls_serve_requests_total counter\n");
@@ -388,6 +389,14 @@ impl Metrics {
                 "dls_serve_shard_requests_total{{shard=\"{shard}\"}} {count}"
             );
         }
+        out.push_str("# HELP dls_serve_plan_cache_evictions_total Plan cache LRU evictions.\n");
+        out.push_str("# TYPE dls_serve_plan_cache_evictions_total counter\n");
+        let _ = writeln!(out, "dls_serve_plan_cache_evictions_total {plan_evictions}");
+        out.push_str(
+            "# HELP dls_serve_sim_cache_evictions_total Simulate response cache LRU evictions.\n",
+        );
+        out.push_str("# TYPE dls_serve_sim_cache_evictions_total counter\n");
+        let _ = writeln!(out, "dls_serve_sim_cache_evictions_total {sim_evictions}");
         out
     }
 }
@@ -435,7 +444,7 @@ mod tests {
         m.fastpath_audited(Duration::from_millis(10));
         m.fastpath_divergence();
         m.fastpath_audit_error();
-        let text = m.render();
+        let text = m.render(4, 5);
         assert!(text.contains("dls_serve_requests_total{endpoint=\"/plan\",status=\"200\"} 2"));
         assert!(text.contains("dls_serve_requests_total{endpoint=\"/simulate\",status=\"400\"} 1"));
         assert!(text.contains("dls_serve_request_seconds_count{endpoint=\"/plan\"} 2"));
@@ -464,6 +473,8 @@ mod tests {
         assert_eq!(m.fastpath_audited_total(), 2);
         assert!(text.contains("dls_serve_fastpath_divergence_total 1"));
         assert!(text.contains("dls_serve_fastpath_audit_errors_total 1"));
+        assert!(text.contains("dls_serve_plan_cache_evictions_total 4"));
+        assert!(text.contains("dls_serve_sim_cache_evictions_total 5"));
         assert_eq!(m.fastpath_analytic_total(), 2);
         assert_eq!(m.fastpath_divergences_total(), 1);
         assert_eq!(m.fastpath_audit_errors_total(), 1);

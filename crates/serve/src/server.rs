@@ -38,18 +38,18 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dls_experiments::json::{json_escape, json_num};
-use rumr::sim::{SimError, TraceEvent};
+use dls_experiments::json::{put_int, put_num, put_opt, put_str};
+use rumr::sim::{InvariantFinding, SimError, TraceEvent};
 use rumr::{
-    FastPath, FastPathAnswer, FastPathDecision, MultiRunResult, Prediction, RepColumns,
-    RobustnessReport, RoundTiming, RunError, Scenario, SimResult, SpeedModel, TraceMode,
+    FastPath, FastPathAnswer, FastPathDecision, MetricsSummary, MultiRunResult, Prediction,
+    RepColumns, RobustnessReport, RunError, Scenario, SimResult, SpeedModel, TraceMode,
 };
 
 use crate::api::{ApiError, JobsRequest, PlanRequest, SimulateRequest};
 use crate::cache::{CachedPlan, PlanCache, SimCache};
-use crate::http::{self, read_request, write_error, write_response, ReadError, Request};
+use crate::http::{self, read_request, ReadError, Request, Response, API_VERSION};
 use crate::metrics::Metrics;
-use crate::shard::{shard_index, Outcome, Reply, ShardJob, ShardPool};
+use crate::shard::{shard_index, Reply, ShardJob, ShardPool};
 use crate::sync::{lock, wait_timeout};
 
 /// Server tuning knobs.
@@ -128,11 +128,9 @@ enum JobState {
     Queued(Box<JobsRequest>),
     /// The runner thread is executing it.
     Running,
-    /// Finished; the rendered result JSON is served verbatim on every
-    /// subsequent poll.
-    Done(String),
-    /// The run failed; polls answer with this status and message.
-    Failed(u16, String),
+    /// Finished: every later poll answers this response verbatim, the
+    /// result or the error the run failed with.
+    Finished(Response),
 }
 
 impl JobState {
@@ -140,8 +138,8 @@ impl JobState {
         match self {
             JobState::Queued(_) => "queued",
             JobState::Running => "running",
-            JobState::Done(_) => "done",
-            JobState::Failed(..) => "failed",
+            JobState::Finished(r) if r.status == 200 => "done",
+            JobState::Finished(_) => "failed",
         }
     }
 
@@ -365,16 +363,9 @@ fn reject(shared: &Shared, mut stream: TcpStream) {
             }
         }
     }
-    let body = http::error_body(503, "request queue full", None);
-    let _ = write_response(
-        &mut stream,
-        503,
-        "Service Unavailable",
-        "application/json",
-        body.as_bytes(),
-        &["Retry-After: 1"],
-        false,
-    );
+    let _ = Response::error(503, "request queue full")
+        .header("Retry-After", "1")
+        .write(&mut stream, false);
     let _ = stream.shutdown(std::net::Shutdown::Write);
 }
 
@@ -399,11 +390,17 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Work a handler leaves for after its response is written: the sampled
+/// DES audit of an analytic answer.
+type After = Box<dyn FnOnce(&Shared)>;
+
 /// Serve every request on one connection, in order, until the client
 /// closes it, opts out of keep-alive, goes idle past the timeout, or
 /// sends something malformed (after which framing cannot be trusted, so
 /// the error response carries `Connection: close` and the socket is
-/// dropped).
+/// dropped). Each response is written and observed here, in one place;
+/// then the handler's after-work runs, before the connection's next
+/// request is read or it closes.
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let idle = Duration::from_millis(shared.config.keep_alive_timeout_ms.max(1));
     let _ = stream.set_read_timeout(Some(idle));
@@ -413,25 +410,27 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let mut carry = Vec::new();
     loop {
-        let request = match read_request(&mut stream, &mut carry) {
-            Ok(r) => r,
-            Err(ReadError::Bad(status, reason, msg)) => {
-                let start = Instant::now();
-                let _ = write_error(&mut stream, status, reason, &msg, false);
-                shared
-                    .metrics
-                    .observe("bad", status, start.elapsed().as_secs_f64());
-                return;
+        let read = read_request(&mut stream, &mut carry);
+        let start = Instant::now();
+        let (label, response, after, keep) = match read {
+            Ok(request) => {
+                let (path, label) = endpoint(&request.path);
+                let (response, after) = route(shared, &request, path, label);
+                (label, response, after, request.keep_alive)
             }
+            Err(ReadError::Bad(status, msg)) => ("bad", Response::error(status, &msg), None, false),
             // Timeout/reset mid-request, or a clean close between
             // requests: nothing (more) to serve.
-            Err(ReadError::Io(_)) | Err(ReadError::Closed) => return,
+            Err(ReadError::Io(_) | ReadError::Closed) => return,
         };
-        let keep = request.keep_alive;
-        // The answer is written and observed; its sampled audit runs now,
-        // before the next request is read or the connection closes.
-        if let Some(audit) = handle_request(shared, &mut stream, request) {
-            audit_analytic(shared, audit);
+        // Once shutdown has begun, this answer is the connection's last.
+        let keep = keep && !shared.shutdown.load(Ordering::SeqCst);
+        let _ = response.write(&mut stream, keep);
+        shared
+            .metrics
+            .observe(label, response.status, start.elapsed().as_secs_f64());
+        if let Some(after) = after {
+            after(shared);
         }
         if !keep || shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -439,51 +438,67 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     }
 }
 
-/// Route one request. `/simulate` decodes here and dispatches to an
-/// engine shard; everything else is handled inline. `/plan` and
-/// `/simulate` hand back the audit of an analytic answer sampled for one,
-/// for the caller to run once the response is out.
-///
-/// Every endpoint is also reachable under the `/v1` path prefix (the
-/// versioned spelling of the same contract — see `docs/SERVICE.md`); the
-/// prefix is stripped before dispatch so both spellings share handlers,
-/// metrics labels, and cache keys.
-fn handle_request(shared: &Shared, stream: &mut TcpStream, mut request: Request) -> Option<Audit> {
-    if let Some(rest) = request.path.strip_prefix("/v1") {
-        if rest.is_empty() {
-            request.path = "/".into();
-        } else if rest.starts_with('/') {
-            request.path = rest.to_string();
+/// A request path with its `/v1` prefix stripped (the versioned spelling
+/// of the same contract — see `docs/SERVICE.md`), so both spellings share
+/// handlers, metrics labels and cache keys; and the path's metrics label,
+/// one of a fixed set, so no request text ever names a series.
+fn endpoint(path: &str) -> (&str, &'static str) {
+    let path = match path.strip_prefix("/v1") {
+        Some("") => "/",
+        Some(rest) if rest.starts_with('/') => rest,
+        _ => path,
+    };
+    let label = match path {
+        "/plan" => "/plan",
+        "/simulate" => "/simulate",
+        "/healthz" => "/healthz",
+        "/metrics" => "/metrics",
+        "/jobs" => "/jobs",
+        _ if path.starts_with("/jobs/") => "/jobs/{id}",
+        _ => "other",
+    };
+    (path, label)
+}
+
+/// Answer one request by its method and endpoint label: 404 for an
+/// unknown path, 405 for a wrong method on a known one. `/plan` and
+/// `/simulate` may leave an audit for after the write.
+fn route(
+    shared: &Shared,
+    request: &Request,
+    path: &str,
+    label: &'static str,
+) -> (Response, Option<After>) {
+    let response = match (request.method.as_str(), label) {
+        ("POST", "/plan") => return handle_plan(shared, request),
+        ("POST", "/simulate") => return handle_simulate(shared, request),
+        ("GET", "/healthz") => {
+            test_delay(shared);
+            Response::text("text/plain", "ok\n".into())
         }
-    }
-    let keep = request.keep_alive;
-    if request.method == "POST" && request.path == "/simulate" {
-        let start = Instant::now();
-        let body = match request.body_str() {
-            Some(b) => b,
-            None => {
-                respond_400(shared, stream, &request, "body is not UTF-8", start, keep);
-                return None;
-            }
-        };
-        return match SimulateRequest::from_json_str(body) {
-            Ok(sim) => handle_simulate(shared, stream, Box::new(sim), keep),
-            Err(e) => {
-                respond_bad_body(shared, stream, &request, &e, start, keep);
-                None
-            }
-        };
-    }
-    if request.method == "POST" && request.path == "/plan" {
-        let start = Instant::now();
-        let (status, audit) = handle_plan(shared, stream, &request, keep);
-        shared
-            .metrics
-            .observe("/plan", status, start.elapsed().as_secs_f64());
-        return audit;
-    }
-    handle_simple(shared, stream, &request, keep);
-    None
+        ("GET", "/metrics") => Response::text(
+            "text/plain; version=0.0.4",
+            shared
+                .metrics
+                .render(shared.cache.evictions(), shared.sim_cache.evictions()),
+        ),
+        ("POST", "/jobs") => handle_jobs_submit(shared, request),
+        ("GET", "/jobs") => handle_jobs_list(shared),
+        ("GET", "/jobs/{id}") => handle_jobs_poll(shared, &path["/jobs/".len()..]),
+        (_, "other") => Response::error(404, "no such endpoint"),
+        _ => Response::error(405, "wrong method for endpoint"),
+    };
+    (response, None)
+}
+
+/// Decode a request body: 400 for a body that is not UTF-8 or does not
+/// decode, 422 for one with a non-finite number (`1e999` is valid JSON
+/// but overflows f64 to infinity, so it can never describe a run).
+fn decode<T>(request: &Request, parse: fn(&str) -> Result<T, ApiError>) -> Result<T, Response> {
+    let body = request
+        .body_str()
+        .ok_or_else(|| Response::error(400, "body is not UTF-8"))?;
+    parse(body).map_err(|e| Response::error(if e.is_non_finite() { 422 } else { 400 }, &e.0))
 }
 
 /// Manual scenario equality ([`Scenario`] has no `PartialEq`: cost
@@ -497,44 +512,6 @@ fn same_scenario(a: &Scenario, b: &Scenario) -> bool {
         && b.cost_profile.is_none()
         && a.temporal_noise.is_none()
         && b.temporal_noise.is_none()
-}
-
-fn respond_400(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    request: &Request,
-    msg: &str,
-    start: Instant,
-    keep: bool,
-) {
-    let _ = write_error(stream, 400, "Bad Request", msg, keep);
-    shared
-        .metrics
-        .observe(&request.path, 400, start.elapsed().as_secs_f64());
-}
-
-/// Answer a request whose body failed to decode. Non-finite numbers
-/// (e.g. `1e999`, which is syntactically valid JSON but overflows f64 to
-/// infinity) can never describe a simulation, so they get `422
-/// Unprocessable Entity`; everything else is a plain `400`.
-fn respond_bad_body(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    request: &Request,
-    error: &ApiError,
-    start: Instant,
-    keep: bool,
-) {
-    let status = if error.is_non_finite() { 422 } else { 400 };
-    let reason = if status == 422 {
-        "Unprocessable Entity"
-    } else {
-        "Bad Request"
-    };
-    let _ = write_error(stream, status, reason, &error.0, keep);
-    shared
-        .metrics
-        .observe(&request.path, status, start.elapsed().as_secs_f64());
 }
 
 /// The engine configuration `/simulate` actually runs: metrics on, audit
@@ -553,174 +530,49 @@ fn test_delay(shared: &Shared) {
     }
 }
 
-/// Routes everything except `/simulate` (which goes through the shards)
-/// and `/plan` (whose analytic answers may carry an audit).
-fn handle_simple(shared: &Shared, stream: &mut TcpStream, request: &Request, keep: bool) {
-    let start = Instant::now();
-    let status = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            test_delay(shared);
-            let _ = write_response(stream, 200, "OK", "text/plain", b"ok\n", &[], keep);
-            200
-        }
-        ("GET", "/metrics") => {
-            let mut body = shared.metrics.render();
-            append_eviction_metrics(shared, &mut body);
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4",
-                body.as_bytes(),
-                &[],
-                keep,
-            );
-            200
-        }
-        ("POST", "/jobs") => {
-            let status = handle_jobs_submit(shared, stream, request, keep);
-            shared
-                .metrics
-                .observe("/jobs", status, start.elapsed().as_secs_f64());
-            return;
-        }
-        ("GET", "/jobs") => {
-            let status = handle_jobs_list(shared, stream, keep);
-            shared
-                .metrics
-                .observe("/jobs", status, start.elapsed().as_secs_f64());
-            return;
-        }
-        ("GET", path) if path.starts_with("/jobs/") => {
-            let status = handle_jobs_poll(shared, stream, &request.path["/jobs/".len()..], keep);
-            // One metrics label for every id — polling must not blow up
-            // the per-path series.
-            shared
-                .metrics
-                .observe("/jobs/{id}", status, start.elapsed().as_secs_f64());
-            return;
-        }
-        (_, path) if path == "/jobs" || path.starts_with("/jobs/") => {
-            let _ = write_error(
-                stream,
-                405,
-                "Method Not Allowed",
-                "wrong method for endpoint",
-                keep,
-            );
-            405
-        }
-        ("GET", "/plan" | "/simulate") | ("POST", "/healthz" | "/metrics") => {
-            let _ = write_error(
-                stream,
-                405,
-                "Method Not Allowed",
-                "wrong method for endpoint",
-                keep,
-            );
-            405
-        }
-        _ => {
-            let _ = write_error(stream, 404, "Not Found", "no such endpoint", keep);
-            404
-        }
-    };
-    shared
-        .metrics
-        .observe(&request.path, status, start.elapsed().as_secs_f64());
-}
-
-/// The cache eviction counters live on the caches, not in [`Metrics`];
-/// the `/metrics` handler stitches them into the exposition here.
-fn append_eviction_metrics(shared: &Shared, body: &mut String) {
-    use std::fmt::Write as _;
-    body.push_str("# HELP dls_serve_plan_cache_evictions_total Plan cache LRU evictions.\n");
-    body.push_str("# TYPE dls_serve_plan_cache_evictions_total counter\n");
-    let _ = writeln!(
-        body,
-        "dls_serve_plan_cache_evictions_total {}",
-        shared.cache.evictions()
-    );
-    body.push_str(
-        "# HELP dls_serve_sim_cache_evictions_total Simulate response cache LRU evictions.\n",
-    );
-    body.push_str("# TYPE dls_serve_sim_cache_evictions_total counter\n");
-    let _ = writeln!(
-        body,
-        "dls_serve_sim_cache_evictions_total {}",
-        shared.sim_cache.evictions()
-    );
+/// The error response for a run the engine could not finish.
+fn run_error(error: &RunError) -> Response {
+    match error {
+        RunError::Build(e) => Response::error(400, &format!("planner: {e}")),
+        RunError::Sim(SimError::EventLimitExceeded) => Response::error(
+            422,
+            "simulation exceeded the event limit (raise max_events or shrink the run)",
+        ),
+        e => Response::error(500, &e.to_string()),
+    }
 }
 
 /// `POST /plan`: canonical-key cache lookup, else solve the planner once
-/// on an error-free full-trace run and cache prototype + body. Returns the
-/// status and, for a freshly solved analytic answer sampled for it, the
-/// audit to run after the response.
-fn handle_plan(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    request: &Request,
-    keep: bool,
-) -> (u16, Option<Audit>) {
+/// on an error-free full-trace run and cache prototype + body.
+fn handle_plan(shared: &Shared, request: &Request) -> (Response, Option<After>) {
     test_delay(shared);
-    let body = match request.body_str() {
-        Some(b) => b,
-        None => {
-            let _ = write_error(stream, 400, "Bad Request", "body is not UTF-8", keep);
-            return (400, None);
-        }
-    };
-    let plan = match PlanRequest::from_json_str(body) {
-        Ok(p) => p,
-        Err(e) if e.is_non_finite() => {
-            let _ = write_error(stream, 422, "Unprocessable Entity", &e.0, keep);
-            return (422, None);
-        }
-        Err(e) => {
-            let _ = write_error(stream, 400, "Bad Request", &e.0, keep);
-            return (400, None);
-        }
+    let plan = match decode(request, PlanRequest::from_json_str) {
+        Ok(plan) => plan,
+        Err(response) => return (response, None),
     };
     let key = plan.cache_key();
-    if let Some(cached) = shared.cache.get(&key) {
-        shared.metrics.cache_hit();
-        let source = format!("X-Answer-Source: {}", cached.source);
-        let _ = write_response(
-            stream,
-            200,
-            "OK",
-            "application/json",
-            cached.body.as_bytes(),
-            &["X-Plan-Cache: hit", &source],
-            keep,
-        );
-        return (200, None);
-    }
-    shared.metrics.cache_miss();
-    match build_plan(shared, &plan, &key) {
-        Ok((cached, audit)) => {
-            let body = cached.body.clone();
-            let source = format!("X-Answer-Source: {}", cached.source);
-            shared.cache.insert(key, Arc::new(cached));
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                "application/json",
-                body.as_bytes(),
-                &["X-Plan-Cache: miss", &source],
-                keep,
-            );
-            (200, audit)
+    let (cached, hit, after) = match shared.cache.get(&key) {
+        Some(cached) => {
+            shared.metrics.cache_hit();
+            (cached, "hit", None)
         }
-        Err((status, reason, msg)) => {
-            let _ = write_error(stream, status, reason, &msg, keep);
-            (status, None)
+        None => {
+            shared.metrics.cache_miss();
+            match build_plan(shared, &plan, &key) {
+                Ok((cached, after)) => {
+                    let cached = Arc::new(cached);
+                    shared.cache.insert(key, Arc::clone(&cached));
+                    (cached, "miss", after)
+                }
+                Err(response) => return (response, None),
+            }
         }
-    }
+    };
+    let response = Response::json(200, Arc::clone(&cached.body))
+        .header("X-Plan-Cache", hit)
+        .header("X-Answer-Source", cached.source);
+    (response, after)
 }
-
-type PlanFailure = (u16, &'static str, String);
 
 /// Solve a `/plan` request: the planner runs once, and its prototype
 /// serves every later step. The oracle derived from it decides the
@@ -730,16 +582,16 @@ type PlanFailure = (u16, &'static str, String);
 /// fallback, whose body reports the same oracle's prediction. A
 /// configurable sample of analytic answers is cross-checked against the
 /// engine (the sampled DES audit): such an answer comes back with its
-/// [`Audit`], which the caller runs after writing the response.
+/// audit, which runs after the response is written.
 fn build_plan(
     shared: &Shared,
     plan: &PlanRequest,
     key: &str,
-) -> Result<(CachedPlan, Option<Audit>), PlanFailure> {
+) -> Result<(CachedPlan, Option<After>), Response> {
     let prototype = plan
         .kind
         .prototype(&plan.platform, plan.w_total)
-        .map_err(|e| (400u16, "Bad Request", format!("planner: {e}")))?;
+        .map_err(|e| Response::error(400, &format!("planner: {e}")))?;
     let oracle = prototype.oracle(&plan.platform, plan.w_total);
     let scenario = Scenario {
         platform: plan.platform.clone(),
@@ -751,21 +603,20 @@ fn build_plan(
     let miss = match FastPath::decide(oracle.as_deref()) {
         FastPathDecision::Analytic(answer) => {
             shared.metrics.fastpath_analytic();
-            let body = plan_body_analytic(plan, &answer);
-            let audit =
-                FastPath::audit_due(|| key, shared.config.fastpath_audit_pct).then(|| Audit {
-                    spec: rumr::RunSpec::new(plan.kind)
-                        .max_events(shared.config.max_events)
-                        .with_prototype(prototype.clone()),
-                    scenario,
-                    answer,
-                });
+            let body = plan_body(plan, PlanAnswer::Analytic(&answer));
+            let after = FastPath::audit_due(|| key, shared.config.fastpath_audit_pct).then(|| {
+                let spec = rumr::RunSpec::new(plan.kind)
+                    .max_events(shared.config.max_events)
+                    .with_prototype(prototype.clone());
+                Box::new(move |shared: &Shared| audit_analytic(shared, &scenario, spec, &answer))
+                    as After
+            });
             let cached = CachedPlan {
                 prototype,
-                body,
+                body: Arc::new(body),
                 source: "analytic",
             };
-            return Ok((cached, audit));
+            return Ok((cached, after));
         }
         FastPathDecision::Engine(miss) => miss,
     };
@@ -775,30 +626,18 @@ fn build_plan(
         .max_events(shared.config.max_events)
         .with_prototype(prototype.clone());
     let result = scenario.execute(&spec).map_err(|e| match e {
-        RunError::Sim(SimError::EventLimitExceeded) => (
-            422u16,
-            "Unprocessable Entity",
-            "plan simulation exceeded the event limit".to_string(),
-        ),
-        other => (500u16, "Internal Server Error", other.to_string()),
+        RunError::Sim(SimError::EventLimitExceeded) => {
+            Response::error(422, "plan simulation exceeded the event limit")
+        }
+        other => Response::error(500, &other.to_string()),
     })?;
     let prediction = oracle.map(|o| o.makespan());
     let cached = CachedPlan {
         prototype,
-        body: plan_body(plan, &result, prediction),
+        body: Arc::new(plan_body(plan, PlanAnswer::Engine(&result, prediction))),
         source: "engine",
     };
     Ok((cached, None))
-}
-
-/// The sampled DES audit of one analytic answer: the scenario, the spec
-/// carrying the solved prototype, and the answer to check. The handler
-/// hands it back, and [`handle_connection`] runs it once the response is
-/// written.
-struct Audit {
-    scenario: Scenario,
-    spec: rumr::RunSpec,
-    answer: FastPathAnswer,
 }
 
 /// The sampled DES audit: re-run an analytic answer through the engine
@@ -806,16 +645,21 @@ struct Audit {
 /// oracle's stated tolerance. A run the engine cannot finish (the event
 /// limit, say) has no makespan to compare; it counts as an audit error.
 /// The audit is counted, with its wall time, only once it has finished.
-fn audit_analytic(shared: &Shared, audit: Audit) {
+fn audit_analytic(
+    shared: &Shared,
+    scenario: &Scenario,
+    spec: rumr::RunSpec,
+    answer: &FastPathAnswer,
+) {
     let start = Instant::now();
-    match audit.scenario.execute(&audit.spec.reps(1)) {
+    match scenario.execute(&spec.reps(1)) {
         Ok(result) => {
             let simulated = if shared.config.fastpath_divergence_inject {
                 result.makespan * 2.0
             } else {
                 result.makespan
             };
-            if !audit.answer.agrees_with(simulated) {
+            if !answer.agrees_with(simulated) {
                 shared.metrics.fastpath_divergence();
             }
         }
@@ -824,189 +668,158 @@ fn audit_analytic(shared: &Shared, audit: Audit) {
     shared.metrics.fastpath_audited(start.elapsed());
 }
 
-fn plan_body(plan: &PlanRequest, result: &SimResult, prediction: Option<Prediction>) -> String {
-    let mut body = String::with_capacity(1024);
-    body.push_str("{\"api_version\":\"");
-    body.push_str(http::API_VERSION);
-    body.push_str("\",\"source\":\"engine\",\"schedule\":[");
-    if let Some(trace) = &result.trace {
-        let mut first = true;
-        for event in trace.events() {
-            if let TraceEvent::SendStart {
+/// Where a `/plan` answer came from.
+enum PlanAnswer<'a> {
+    /// A full-trace engine run, and its oracle's prediction.
+    Engine(&'a SimResult, Option<Prediction>),
+    /// The oracle's closed form.
+    Analytic(&'a FastPathAnswer),
+}
+
+/// The `/plan` body, the same shape from either source. An engine answer
+/// lists the trace's sends in `schedule` and has null `rounds`. An
+/// analytic answer has an empty `schedule`, the oracle's per-round
+/// timeline in `rounds` (null where the model pins none, e.g. het-UMR)
+/// and a null `num_chunks`.
+fn plan_body(plan: &PlanRequest, answer: PlanAnswer<'_>) -> String {
+    let (source, trace, rounds, makespan, num_chunks, predicted) = match answer {
+        PlanAnswer::Engine(result, predicted) => (
+            "engine",
+            result.trace.as_ref(),
+            None,
+            result.makespan,
+            Some(result.num_chunks as f64),
+            predicted,
+        ),
+        PlanAnswer::Analytic(answer) => (
+            "analytic",
+            None,
+            answer.rounds.as_deref(),
+            answer.makespan,
+            None,
+            Some(answer.prediction),
+        ),
+    };
+    let mut out = String::with_capacity(1024);
+    put_str(&mut out, r#"{"api_version":"#, API_VERSION);
+    put_str(&mut out, r#","source":"#, source);
+    out.push_str(r#","schedule":["#);
+    let sends = trace
+        .into_iter()
+        .flat_map(|t| t.events())
+        .filter_map(|e| match e {
+            TraceEvent::SendStart {
                 worker,
                 chunk,
                 time,
-            } = event
-            {
-                if !first {
-                    body.push(',');
-                }
-                first = false;
-                body.push_str(&format!(
-                    "{{\"worker\":{worker},\"chunk\":{},\"send_time\":{}}}",
-                    json_num(*chunk),
-                    json_num(*time)
-                ));
-            }
-        }
-    }
-    body.push_str("],\"rounds\":null,\"makespan\":");
-    body.push_str(&json_num(result.makespan));
-    body.push_str(",\"num_chunks\":");
-    body.push_str(&result.num_chunks.to_string());
-    body.push_str(",\"scheduler\":\"");
-    body.push_str(&json_escape(&plan.kind.label()));
-    body.push_str("\",\"predicted\":");
-    match prediction {
-        Some(Prediction::Exact { makespan, .. }) => {
-            body.push_str(&format!(
-                "{{\"kind\":\"exact\",\"makespan\":{}}}",
-                json_num(makespan)
-            ));
-        }
-        Some(Prediction::LowerBound { makespan, .. }) => {
-            body.push_str(&format!(
-                "{{\"kind\":\"lower_bound\",\"makespan\":{}}}",
-                json_num(makespan)
-            ));
-        }
-        Some(Prediction::Unavailable) | None => body.push_str("null"),
-    }
-    body.push_str(",\"robustness\":");
-    body.push_str(&plan_robustness(plan));
-    body.push('}');
-    body
-}
-
-/// The analytic `/plan` body: same shape as the engine body, but the
-/// makespan is the oracle closed form, the per-event `schedule` array is
-/// empty (no trace exists — the per-round `rounds` timeline replaces it
-/// where the model pins one), and `num_chunks` is `null`.
-fn plan_body_analytic(plan: &PlanRequest, answer: &FastPathAnswer) -> String {
-    let mut body = String::with_capacity(1024);
-    body.push_str("{\"api_version\":\"");
-    body.push_str(http::API_VERSION);
-    body.push_str("\",\"source\":\"analytic\",\"schedule\":[],\"rounds\":");
-    body.push_str(&rounds_json(answer.rounds.as_deref()));
-    body.push_str(",\"makespan\":");
-    body.push_str(&json_num(answer.makespan));
-    body.push_str(",\"num_chunks\":null,\"scheduler\":\"");
-    body.push_str(&json_escape(&plan.kind.label()));
-    body.push_str("\",\"predicted\":");
-    body.push_str(&format!(
-        "{{\"kind\":\"exact\",\"makespan\":{}}}",
-        json_num(answer.makespan)
-    ));
-    body.push_str(",\"robustness\":");
-    body.push_str(&plan_robustness(plan));
-    body.push('}');
-    body
-}
-
-/// Render an oracle round timeline as JSON (`null` when the model does
-/// not pin per-round instants, e.g. the heterogeneous UMR oracle).
-fn rounds_json(rounds: Option<&[RoundTiming]>) -> String {
-    let Some(rounds) = rounds else {
-        return "null".to_string();
-    };
-    let mut out = String::with_capacity(64 * rounds.len() + 2);
-    out.push('[');
-    for (i, r) in rounds.iter().enumerate() {
+            } => Some((*worker, *chunk, *time)),
+            _ => None,
+        });
+    for (i, (worker, chunk, time)) in sends.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"round\":{},\"chunk\":{},\"dispatch_start\":{},\"dispatch_end\":{},\
-             \"first_finish\":{},\"last_finish\":{}}}",
-            r.round,
-            json_num(r.chunk),
-            json_num(r.dispatch_start),
-            json_num(r.dispatch_end),
-            json_num(r.first_finish),
-            json_num(r.last_finish)
-        ));
+        put_int(&mut out, r#"{"worker":"#, worker as u64);
+        put_num(&mut out, r#","chunk":"#, chunk);
+        put_num(&mut out, r#","send_time":"#, time);
+        out.push('}');
     }
-    out.push(']');
-    out
-}
-
-/// The `/plan` response's robustness section: the analytic makespan lower
-/// bound on the declared platform, plus oracle lower bounds under
-/// worst-case revealed speeds — what no schedule can beat if an
-/// adversary slows a quarter of the workers by 1.5× / 2× after the plan
-/// is committed. Clients can compare a realized makespan against these
-/// floors without replanning.
-fn plan_robustness(plan: &PlanRequest) -> String {
+    out.push_str(r#"],"rounds":"#);
+    match rounds {
+        None => out.push_str("null"),
+        Some(rounds) => {
+            out.push('[');
+            for (i, r) in rounds.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                put_int(&mut out, r#"{"round":"#, r.round as u64);
+                put_num(&mut out, r#","chunk":"#, r.chunk);
+                put_num(&mut out, r#","dispatch_start":"#, r.dispatch_start);
+                put_num(&mut out, r#","dispatch_end":"#, r.dispatch_end);
+                put_num(&mut out, r#","first_finish":"#, r.first_finish);
+                put_num(&mut out, r#","last_finish":"#, r.last_finish);
+                out.push('}');
+            }
+            out.push(']');
+        }
+    }
+    put_num(&mut out, r#","makespan":"#, makespan);
+    put_opt(&mut out, r#","num_chunks":"#, num_chunks);
+    put_str(&mut out, r#","scheduler":"#, &plan.kind.label());
+    let predicted = match predicted {
+        Some(Prediction::Exact { makespan, .. }) => Some(("exact", makespan)),
+        Some(Prediction::LowerBound { makespan, .. }) => Some(("lower_bound", makespan)),
+        Some(Prediction::Unavailable) | None => None,
+    };
+    match predicted {
+        Some((kind, makespan)) => {
+            put_str(&mut out, r#","predicted":{"kind":"#, kind);
+            put_num(&mut out, r#","makespan":"#, makespan);
+            out.push('}');
+        }
+        None => out.push_str(r#","predicted":null"#),
+    }
+    // The robustness section: the analytic makespan lower bound on the
+    // declared platform, plus the lower bounds under worst-case revealed
+    // speeds — what no schedule can beat if an adversary slows a quarter
+    // of the workers by 1.5× / 2× after the plan is committed. Clients can
+    // compare a realized makespan against these floors without
+    // replanning.
     let declared = plan.platform.makespan_lower_bound(plan.w_total);
-    let mut body = format!("{{\"analytic_lower_bound\":{}", json_num(declared));
-    body.push_str(",\"worst_case\":[");
-    for (i, slowdown) in [1.5f64, 2.0].iter().enumerate() {
+    put_num(
+        &mut out,
+        r#","robustness":{"analytic_lower_bound":"#,
+        declared,
+    );
+    out.push_str(r#","worst_case":["#);
+    for (i, slowdown) in [1.5f64, 2.0].into_iter().enumerate() {
         let model = SpeedModel::Adversarial {
             fraction: 0.25,
-            slowdown: *slowdown,
+            slowdown,
         };
         let bound = model
             .realized_platform(&plan.platform)
             .map(|p| p.makespan_lower_bound(plan.w_total))
             .expect("adversarial factors are floored, so the platform stays valid");
         if i > 0 {
-            body.push(',');
+            out.push(',');
         }
-        body.push_str(&format!(
-            "{{\"speeds\":\"{}\",\"analytic_lower_bound\":{}}}",
-            json_escape(&model.label()),
-            json_num(bound)
-        ));
+        put_str(&mut out, r#"{"speeds":"#, &model.label());
+        put_num(&mut out, r#","analytic_lower_bound":"#, bound);
+        out.push('}');
     }
-    body.push_str("]}");
-    body
+    out.push_str("]}}");
+    out
+}
+
+/// Append the `audit_findings` array, each finding as a JSON string.
+fn put_findings<'a>(out: &mut String, findings: impl Iterator<Item = &'a InvariantFinding>) {
+    out.push_str(r#","audit_findings":["#);
+    for (i, finding) in findings.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        put_str(out, "", &finding.to_string());
+    }
+    out.push(']');
 }
 
 /// `POST /jobs`: accept a multi-load job set for asynchronous execution.
 /// Answers `202 Accepted` with the job id to poll; a full job table
 /// (too many unfinished submissions) sheds load with 503 + Retry-After,
 /// mirroring the connection queue.
-fn handle_jobs_submit(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    request: &Request,
-    keep: bool,
-) -> u16 {
+fn handle_jobs_submit(shared: &Shared, request: &Request) -> Response {
     test_delay(shared);
-    let body = match request.body_str() {
-        Some(b) => b,
-        None => {
-            let _ = write_error(stream, 400, "Bad Request", "body is not UTF-8", keep);
-            return 400;
-        }
-    };
-    let jobs_request = match JobsRequest::from_json_str(body) {
+    let jobs_request = match decode(request, JobsRequest::from_json_str) {
         Ok(r) => r,
-        Err(e) if e.is_non_finite() => {
-            let _ = write_error(stream, 422, "Unprocessable Entity", &e.0, keep);
-            return 422;
-        }
-        Err(e) => {
-            let _ = write_error(stream, 400, "Bad Request", &e.0, keep);
-            return 400;
-        }
+        Err(response) => return response,
     };
     let id = {
         let mut store = lock(&shared.jobs);
         let open = store.entries.iter().filter(|e| e.is_open()).count();
         if open >= shared.config.job_capacity {
-            drop(store);
-            let body = http::error_body(503, "job table full", None);
-            let _ = write_response(
-                stream,
-                503,
-                "Service Unavailable",
-                "application/json",
-                body.as_bytes(),
-                &["Retry-After: 1"],
-                keep,
-            );
-            return 503;
+            return Response::error(503, "job table full").header("Retry-After", "1");
         }
         let id = store.entries.len();
         store.entries.push(JobState::Queued(Box::new(jobs_request)));
@@ -1014,110 +827,47 @@ fn handle_jobs_submit(
         id
     };
     shared.jobs_available.notify_one();
-    let body = format!(
-        "{{\"api_version\":\"{}\",\"id\":{id},\"status\":\"queued\"}}",
-        http::API_VERSION
-    );
-    let _ = write_response(
-        stream,
-        202,
-        "Accepted",
-        "application/json",
-        body.as_bytes(),
-        &[&format!("Location: /jobs/{id}")],
-        keep,
-    );
-    202
+    Response::json(202, job_status(id, "queued")).header("Location", &format!("/jobs/{id}"))
+}
+
+/// The body that answers for a job not yet finished.
+fn job_status(id: usize, status: &str) -> String {
+    let mut body = String::with_capacity(48);
+    put_str(&mut body, r#"{"api_version":"#, API_VERSION);
+    put_int(&mut body, r#","id":"#, id as u64);
+    put_str(&mut body, r#","status":"#, status);
+    body.push('}');
+    body
 }
 
 /// `GET /jobs`: id + status of every submission, in submission order.
-fn handle_jobs_list(shared: &Shared, stream: &mut TcpStream, keep: bool) -> u16 {
-    let store = lock(&shared.jobs);
-    let mut body = format!("{{\"api_version\":\"{}\",\"jobs\":[", http::API_VERSION);
-    for (id, entry) in store.entries.iter().enumerate() {
+fn handle_jobs_list(shared: &Shared) -> Response {
+    let mut body = String::with_capacity(64);
+    put_str(&mut body, r#"{"api_version":"#, API_VERSION);
+    body.push_str(r#","jobs":["#);
+    for (id, entry) in lock(&shared.jobs).entries.iter().enumerate() {
         if id > 0 {
             body.push(',');
         }
-        body.push_str(&format!("{{\"id\":{id},\"status\":\"{}\"}}", entry.label()));
+        put_int(&mut body, r#"{"id":"#, id as u64);
+        put_str(&mut body, r#","status":"#, entry.label());
+        body.push('}');
     }
-    drop(store);
     body.push_str("]}");
-    let _ = write_response(
-        stream,
-        200,
-        "OK",
-        "application/json",
-        body.as_bytes(),
-        &[],
-        keep,
-    );
-    200
+    Response::json(200, body)
 }
 
 /// `GET /jobs/{id}`: poll one submission. Unfinished jobs answer their
-/// status; finished jobs answer the stored result (or failure) verbatim,
-/// so repeated polls are byte-identical.
-fn handle_jobs_poll(shared: &Shared, stream: &mut TcpStream, id_str: &str, keep: bool) -> u16 {
-    let Ok(id) = id_str.parse::<usize>() else {
-        let _ = write_error(
-            stream,
-            400,
-            "Bad Request",
-            "job id must be an integer",
-            keep,
-        );
-        return 400;
+/// status; finished jobs answer the stored response verbatim, so repeated
+/// polls are byte-identical.
+fn handle_jobs_poll(shared: &Shared, id: &str) -> Response {
+    let Ok(id) = id.parse::<usize>() else {
+        return Response::error(400, "job id must be an integer");
     };
-    let store = lock(&shared.jobs);
-    let Some(entry) = store.entries.get(id) else {
-        drop(store);
-        let _ = write_error(stream, 404, "Not Found", "no such job", keep);
-        return 404;
-    };
-    match entry {
-        JobState::Queued(_) | JobState::Running => {
-            let body = format!(
-                "{{\"api_version\":\"{}\",\"id\":{id},\"status\":\"{}\"}}",
-                http::API_VERSION,
-                entry.label()
-            );
-            drop(store);
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                "application/json",
-                body.as_bytes(),
-                &[],
-                keep,
-            );
-            200
-        }
-        JobState::Done(body) => {
-            let body = body.clone();
-            drop(store);
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                "application/json",
-                body.as_bytes(),
-                &[],
-                keep,
-            );
-            200
-        }
-        JobState::Failed(status, msg) => {
-            let (status, msg) = (*status, msg.clone());
-            drop(store);
-            let reason = match status {
-                400 => "Bad Request",
-                422 => "Unprocessable Entity",
-                _ => "Internal Server Error",
-            };
-            let _ = write_error(stream, status, reason, &msg, keep);
-            status
-        }
+    match lock(&shared.jobs).entries.get(id) {
+        None => Response::error(404, "no such job"),
+        Some(JobState::Finished(response)) => response.clone(),
+        Some(entry) => Response::json(200, job_status(id, entry.label())),
     }
 }
 
@@ -1142,100 +892,76 @@ fn jobs_loop(shared: &Shared) {
                 store = wait_timeout(&shared.jobs_available, store, Duration::from_millis(50));
             }
         };
-        let outcome = run_jobs(shared, id, &request);
-        let mut store = lock(&shared.jobs);
-        store.entries[id] = match outcome {
-            Ok(body) => JobState::Done(body),
-            Err((status, msg)) => JobState::Failed(status, msg),
-        };
+        let response = run_jobs(shared, id, &request);
+        lock(&shared.jobs).entries[id] = JobState::Finished(response);
     }
 }
 
 /// Execute one submission; the run needs a full trace so the job-level
 /// audit can check cross-job master exclusivity.
-fn run_jobs(shared: &Shared, id: usize, request: &JobsRequest) -> Result<String, (u16, String)> {
+fn run_jobs(shared: &Shared, id: usize, request: &JobsRequest) -> Response {
     let mut spec = request.spec.clone();
     spec.config.trace_mode = TraceMode::Full;
     spec.config.audit = true;
     spec.config.max_events = spec.config.max_events.min(shared.config.max_events);
     match request.scenario.execute_jobs(&spec) {
-        Ok(result) => Ok(jobs_body(id, &spec, &result)),
-        Err(RunError::Build(e)) => Err((400, format!("planner: {e}"))),
-        Err(RunError::Sim(SimError::EventLimitExceeded)) => Err((
-            422,
-            "simulation exceeded the event limit (raise max_events or shrink the run)".into(),
-        )),
-        Err(e) => Err((500, e.to_string())),
+        Ok(result) => Response::json(200, jobs_body(id, &spec, &result)),
+        Err(e) => run_error(&e),
     }
 }
 
 fn jobs_body(id: usize, spec: &rumr::MultiRunSpec, result: &MultiRunResult) -> String {
-    let mut body = String::with_capacity(1024);
-    body.push_str(&format!(
-        "{{\"api_version\":\"{}\",\"id\":{id},\"status\":\"done\",\"policy\":\"{}\",\"makespan\":{},\"num_chunks\":{},\"jobs\":[",
-        http::API_VERSION,
-        spec.policy.label(),
-        json_num(result.sim.makespan),
-        result.sim.num_chunks
-    ));
+    let mut out = String::with_capacity(1024);
+    put_str(&mut out, r#"{"api_version":"#, API_VERSION);
+    put_int(&mut out, r#","id":"#, id as u64);
+    put_str(&mut out, r#","status":"#, "done");
+    put_str(&mut out, r#","policy":"#, spec.policy.label());
+    put_num(&mut out, r#","makespan":"#, result.sim.makespan);
+    put_int(&mut out, r#","num_chunks":"#, result.sim.num_chunks as u64);
+    out.push_str(r#","jobs":["#);
     for (i, j) in result.jobs.iter().enumerate() {
         if i > 0 {
-            body.push(',');
+            out.push(',');
         }
-        body.push_str(&format!(
-            "{{\"job\":{},\"release\":{},\"size\":{},\"first_dispatch\":{},\"completion\":{},\
-             \"response\":{},\"stretch\":{},\"lower_bound\":{},\"dispatched\":{},\
-             \"completed\":{},\"lost\":{}}}",
-            j.job,
-            json_num(j.release),
-            json_num(j.size),
-            j.first_dispatch.map_or("null".to_string(), json_num),
-            j.completion.map_or("null".to_string(), json_num),
-            j.response.map_or("null".to_string(), json_num),
-            j.stretch.map_or("null".to_string(), json_num),
-            json_num(j.lower_bound),
-            json_num(j.dispatched),
-            json_num(j.completed),
-            json_num(j.lost)
-        ));
+        put_int(&mut out, r#"{"job":"#, j.job as u64);
+        put_num(&mut out, r#","release":"#, j.release);
+        put_num(&mut out, r#","size":"#, j.size);
+        put_opt(&mut out, r#","first_dispatch":"#, j.first_dispatch);
+        put_opt(&mut out, r#","completion":"#, j.completion);
+        put_opt(&mut out, r#","response":"#, j.response);
+        put_opt(&mut out, r#","stretch":"#, j.stretch);
+        put_num(&mut out, r#","lower_bound":"#, j.lower_bound);
+        put_num(&mut out, r#","dispatched":"#, j.dispatched);
+        put_num(&mut out, r#","completed":"#, j.completed);
+        put_num(&mut out, r#","lost":"#, j.lost);
+        out.push('}');
     }
     let f = &result.fairness;
-    body.push_str(&format!(
-        "],\"fairness\":{{\"completed_jobs\":{},\"max_stretch\":{},\"mean_stretch\":{},\"jain_index\":{}}}",
-        f.completed_jobs,
-        json_num(f.max_stretch),
-        json_num(f.mean_stretch),
-        json_num(f.jain_index)
-    ));
-    body.push_str(",\"audit_findings\":[");
+    put_int(
+        &mut out,
+        r#"],"fairness":{"completed_jobs":"#,
+        f.completed_jobs as u64,
+    );
+    put_num(&mut out, r#","max_stretch":"#, f.max_stretch);
+    put_num(&mut out, r#","mean_stretch":"#, f.mean_stretch);
+    put_num(&mut out, r#","jain_index":"#, f.jain_index);
+    out.push('}');
     let engine_findings = result.sim.audit.as_deref().unwrap_or(&[]);
-    for (i, finding) in engine_findings
-        .iter()
-        .chain(result.job_audit.iter())
-        .enumerate()
-    {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push('"');
-        body.push_str(&json_escape(&finding.to_string()));
-        body.push('"');
-    }
-    body.push_str("]}");
-    body
+    put_findings(&mut out, engine_findings.iter().chain(&result.job_audit));
+    out.push('}');
+    out
 }
 
 /// `POST /simulate`: answer eligible runs from the analytic fast path,
 /// else serve from the response cache if possible, else dispatch to the
-/// scenario's engine shard and relay its outcome. Returns the audit of an
-/// analytic answer sampled for one.
-fn handle_simulate(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    mut sim: Box<SimulateRequest>,
-    keep: bool,
-) -> Option<Audit> {
-    let start = Instant::now();
+/// scenario's engine shard and relay its response. An analytic answer
+/// leaves its sampling decision, and the audit if sampled, for after the
+/// write.
+fn handle_simulate(shared: &Shared, request: &Request) -> (Response, Option<After>) {
+    let mut sim = match decode(request, SimulateRequest::from_json_str) {
+        Ok(sim) => Box::new(sim),
+        Err(response) => return (response, None),
+    };
     // Analytic fast path: deterministic model-conforming runs with an
     // exact oracle skip the cache and the shards entirely. An ineligible
     // run costs only the eligibility checks here; an eligible one solves
@@ -1249,32 +975,33 @@ fn handle_simulate(
             FastPathDecision::Analytic(answer) => {
                 shared.metrics.fastpath_analytic();
                 test_delay(shared);
-                let body = simulate_body_analytic(&sim.spec, &answer);
-                let _ = write_response(
-                    stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    body.as_bytes(),
-                    &["X-Answer-Source: analytic"],
-                    keep,
-                );
-                shared
-                    .metrics
-                    .observe("/simulate", 200, start.elapsed().as_secs_f64());
-                // Only the audit needs the sampling key, so it is rendered
-                // behind the write, and only at a rate that depends on it.
-                if !FastPath::audit_due(|| sim.canonical(), shared.config.fastpath_audit_pct) {
-                    return None;
-                }
-                let SimulateRequest { scenario, mut spec } = *sim;
-                spec.config = effective_config(shared, &spec);
-                spec.prototype = prototype;
-                return Some(Audit {
-                    scenario,
-                    spec,
-                    answer,
+                // The run is deterministic — that is what made it
+                // eligible — so every seed's row is the closed form.
+                let runs = sim.spec.seeds().map(|seed| RunRow {
+                    seed,
+                    makespan: answer.makespan,
+                    num_chunks: None,
+                    completed_work: answer.planned_work,
+                    conservation_residual: 0.0,
+                    metrics: None,
+                    robustness: None,
+                    findings: &[],
                 });
+                let body = simulate_body(&sim.spec, "analytic", answer.makespan, runs);
+                let response = Response::json(200, body).header("X-Answer-Source", "analytic");
+                let pct = shared.config.fastpath_audit_pct;
+                let after: After = Box::new(move |shared: &Shared| {
+                    // Only the audit needs the sampling key, so it is
+                    // rendered behind the write, and only at a rate that
+                    // depends on it.
+                    if FastPath::audit_due(|| sim.canonical(), pct) {
+                        let SimulateRequest { scenario, mut spec } = *sim;
+                        spec.config = effective_config(shared, &spec);
+                        spec.prototype = prototype;
+                        audit_analytic(shared, &scenario, spec, &answer);
+                    }
+                });
+                return (response, Some(after));
             }
             FastPathDecision::Engine(miss) => {
                 shared.metrics.fastpath_miss(miss);
@@ -1284,31 +1011,17 @@ fn handle_simulate(
     }
     // Every key below is composed around this one render of the platform.
     let keys = sim.keys();
-    let cache_on = shared.config.sim_cache_capacity > 0;
-    let key = if cache_on {
-        let key = keys.canonical();
-        if let Some(body) = shared.sim_cache.get(&key) {
+    let key = (shared.config.sim_cache_capacity > 0).then(|| keys.canonical());
+    if let Some(key) = &key {
+        if let Some(body) = shared.sim_cache.get(key) {
             shared.metrics.sim_cache_hit();
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                "application/json",
-                body.as_bytes(),
-                &["X-Sim-Cache: hit", "X-Answer-Source: engine"],
-                keep,
-            );
-            shared
-                .metrics
-                .observe("/simulate", 200, start.elapsed().as_secs_f64());
-            return None;
+            let response = Response::json(200, body)
+                .header("X-Sim-Cache", "hit")
+                .header("X-Answer-Source", "engine");
+            return (response, None);
         }
         shared.metrics.sim_cache_miss();
-        Some(key)
-    } else {
-        None
-    };
-
+    }
     let idx = shard_index(&keys.scenario_key(), shared.shards.len());
     let plan_key = sim.spec.prototype.is_none().then(|| keys.plan_key());
     shared.metrics.observe_shard(idx);
@@ -1321,54 +1034,17 @@ fn handle_simulate(
             reply: Arc::clone(&reply),
         },
     );
-    let status = match reply.wait(&shared.shutdown) {
-        Some(outcome) => {
-            if outcome.status == 200 {
-                if let Some(key) = key {
-                    shared.sim_cache.insert(key, Arc::new(outcome.body.clone()));
-                }
-                let headers: &[&str] = if cache_on {
-                    &["X-Sim-Cache: miss", "X-Answer-Source: engine"]
-                } else {
-                    &["X-Answer-Source: engine"]
-                };
-                let _ = write_response(
-                    stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    outcome.body.as_bytes(),
-                    headers,
-                    keep,
-                );
-            } else {
-                let _ = write_response(
-                    stream,
-                    outcome.status,
-                    outcome.reason,
-                    "application/json",
-                    outcome.body.as_bytes(),
-                    &[],
-                    keep,
-                );
-            }
-            outcome.status
-        }
-        None => {
-            let _ = write_error(
-                stream,
-                503,
-                "Service Unavailable",
-                "server is shutting down",
-                false,
-            );
-            503
-        }
+    let Some(mut response) = reply.wait(&shared.shutdown) else {
+        return (Response::error(503, "server is shutting down"), None);
     };
-    shared
-        .metrics
-        .observe("/simulate", status, start.elapsed().as_secs_f64());
-    None
+    if response.status == 200 {
+        if let Some(key) = key {
+            shared.sim_cache.insert(key, Arc::clone(&response.body));
+            response = response.header("X-Sim-Cache", "miss");
+        }
+        response = response.header("X-Answer-Source", "engine");
+    }
+    (response, None)
 }
 
 /// One engine shard: pops its queue and keeps a warm runner alive across
@@ -1395,12 +1071,12 @@ fn shard_streak(shared: &Shared, idx: usize, job: ShardJob) -> Option<ShardJob> 
     let scenario = job.sim.scenario.clone();
     let mut runner = scenario.runner(effective_config(shared, &job.sim.spec));
     let reply = Arc::clone(&job.reply);
-    reply.set(simulate_outcome(shared, job, &mut runner));
+    reply.set(simulate_on_shard(shared, job, &mut runner));
     loop {
         let job = shared.shards.pop(idx, &shared.shutdown)?;
         if same_scenario(&scenario, &job.sim.scenario) {
             let reply = Arc::clone(&job.reply);
-            reply.set(simulate_outcome(shared, job, &mut runner));
+            reply.set(simulate_on_shard(shared, job, &mut runner));
         } else {
             return Some(job);
         }
@@ -1408,12 +1084,12 @@ fn shard_streak(shared: &Shared, idx: usize, job: ShardJob) -> Option<ShardJob> 
 }
 
 /// Run one `/simulate` request on the shard's warm runner and produce the
-/// outcome the HTTP worker will write.
-fn simulate_outcome(
+/// response the HTTP worker will write.
+fn simulate_on_shard(
     shared: &Shared,
     job: ShardJob,
     runner: &mut rumr::ScenarioRunner<'_>,
-) -> Outcome {
+) -> Response {
     // On the shard so it emulates engine time: serialized per shard
     // (cache hits skip it), parallel across shards and processes.
     test_delay(shared);
@@ -1424,46 +1100,35 @@ fn simulate_outcome(
         spec.prototype = Some(cached.prototype.clone());
     }
     spec.config = effective_config(shared, &spec);
-
-    match run_reps(runner, &spec) {
-        Ok(cols) => {
-            // Per-run robustness reports when the request revealed speeds:
-            // the clairvoyant twins are planned once on the realized
-            // platform, which every repetition shares.
-            let robustness: Vec<RobustnessReport> = match runner.scenario().clairvoyant(&spec) {
-                Some(twins) => spec
-                    .seeds()
-                    .zip(cols.makespan.iter())
-                    .map(|(seed, &m)| twins.report(seed, m))
-                    .collect(),
-                None => Vec::new(),
-            };
-            Outcome {
-                status: 200,
-                reason: "OK",
-                body: simulate_body(&spec, &cols, &robustness),
-            }
-        }
-        Err(RunError::Build(e)) => Outcome {
-            status: 400,
-            reason: "Bad Request",
-            body: http::error_body(400, &format!("planner: {e}"), None),
-        },
-        Err(RunError::Sim(SimError::EventLimitExceeded)) => Outcome {
-            status: 422,
-            reason: "Unprocessable Entity",
-            body: http::error_body(
-                422,
-                "simulation exceeded the event limit (raise max_events or shrink the run)",
-                None,
-            ),
-        },
-        Err(e) => Outcome {
-            status: 500,
-            reason: "Internal Server Error",
-            body: http::error_body(500, &e.to_string(), None),
-        },
-    }
+    let cols = match run_reps(runner, &spec) {
+        Ok(cols) => cols,
+        Err(e) => return run_error(&e),
+    };
+    // Per-run robustness reports when the request revealed speeds: the
+    // clairvoyant twins are planned once on the realized platform, which
+    // every repetition shares.
+    let robustness: Vec<RobustnessReport> = match runner.scenario().clairvoyant(&spec) {
+        Some(twins) => spec
+            .seeds()
+            .zip(cols.makespan.iter())
+            .map(|(seed, &m)| twins.report(seed, m))
+            .collect(),
+        None => Vec::new(),
+    };
+    let runs = (0..cols.len()).map(|i| RunRow {
+        seed: spec.seed + i as u64,
+        makespan: cols.makespan[i],
+        num_chunks: Some(cols.num_chunks[i]),
+        completed_work: cols.completed_work[i],
+        conservation_residual: cols.conservation_residual(i),
+        metrics: cols.metrics[i].as_ref(),
+        robustness: robustness.get(i),
+        findings: cols.audit[i].as_deref().unwrap_or(&[]),
+    });
+    Response::json(
+        200,
+        simulate_body(&spec, "engine", cols.mean_makespan(), runs),
+    )
 }
 
 /// Execute the spec's whole repetition batch as one arena-backed
@@ -1480,91 +1145,76 @@ fn run_reps(
     Ok(cols)
 }
 
-fn simulate_body(
-    spec: &rumr::RunSpec,
-    cols: &RepColumns,
-    robustness: &[RobustnessReport],
-) -> String {
-    let mut body = String::with_capacity(512);
-    body.push_str("{\"api_version\":\"");
-    body.push_str(http::API_VERSION);
-    body.push_str("\",\"source\":\"engine\",\"runs\":[");
-    for i in 0..cols.len() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{{\"seed\":{},\"makespan\":{},\"num_chunks\":{},\"completed_work\":{},\"conservation_residual\":{}",
-            spec.seed + i as u64,
-            json_num(cols.makespan[i]),
-            cols.num_chunks[i],
-            json_num(cols.completed_work[i]),
-            json_num(cols.conservation_residual(i))
-        ));
-        if let Some(m) = &cols.metrics[i] {
-            body.push_str(&format!(
-                ",\"metrics\":{{\"trace_events\":{},\"link_utilization\":{},\"num_gaps\":{}}}",
-                m.trace_events,
-                json_num(m.link_utilization(cols.makespan[i])),
-                m.num_gaps
-            ));
-        }
-        if let Some(rb) = robustness.get(i) {
-            body.push_str(&format!(
-                ",\"robustness\":{{\"ratio\":{},\"clairvoyant_makespan\":{},\"replanned_makespan\":{},\"analytic_lower_bound\":{}}}",
-                json_num(rb.ratio),
-                json_num(rb.clairvoyant_makespan),
-                rb.replanned_makespan.map_or("null".to_string(), json_num),
-                json_num(rb.analytic_lower_bound)
-            ));
-        }
-        body.push_str(",\"audit_findings\":[");
-        if let Some(findings) = &cols.audit[i] {
-            for (j, f) in findings.iter().enumerate() {
-                if j > 0 {
-                    body.push(',');
-                }
-                body.push('"');
-                body.push_str(&json_escape(&f.to_string()));
-                body.push('"');
-            }
-        }
-        body.push_str("]}");
-    }
-    body.push_str(&format!(
-        "],\"mean_makespan\":{},\"scheduler\":\"{}\"}}",
-        json_num(cols.mean_makespan()),
-        json_escape(&spec.kind.label())
-    ));
-    body
+/// One `runs` entry of a `/simulate` body. A closed-form row has no chunk
+/// count, metrics, robustness report or findings.
+struct RunRow<'a> {
+    seed: u64,
+    makespan: f64,
+    num_chunks: Option<usize>,
+    completed_work: f64,
+    conservation_residual: f64,
+    metrics: Option<&'a MetricsSummary>,
+    robustness: Option<&'a RobustnessReport>,
+    findings: &'a [InvariantFinding],
 }
 
-/// The analytic `/simulate` body: same top-level shape as the engine
-/// body, one `runs` entry per requested seed. The run is deterministic —
-/// that is what made it eligible — so every entry carries the same
-/// closed-form makespan, `completed_work` is the oracle's planned total,
-/// the conservation residual is identically zero, and the engine-only
-/// fields (`num_chunks`, `metrics`) are absent.
-fn simulate_body_analytic(spec: &rumr::RunSpec, answer: &FastPathAnswer) -> String {
-    let mut body = String::with_capacity(256);
-    body.push_str("{\"api_version\":\"");
-    body.push_str(http::API_VERSION);
-    body.push_str("\",\"source\":\"analytic\",\"runs\":[");
-    for (i, seed) in spec.seeds().enumerate() {
+/// The `/simulate` body, the same shape from the engine and from the
+/// closed form: one `runs` entry per requested seed.
+fn simulate_body<'a>(
+    spec: &rumr::RunSpec,
+    source: &str,
+    mean_makespan: f64,
+    runs: impl Iterator<Item = RunRow<'a>>,
+) -> String {
+    let mut out = String::with_capacity(512);
+    put_str(&mut out, r#"{"api_version":"#, API_VERSION);
+    put_str(&mut out, r#","source":"#, source);
+    out.push_str(r#","runs":["#);
+    for (i, run) in runs.enumerate() {
         if i > 0 {
-            body.push(',');
+            out.push(',');
         }
-        body.push_str(&format!(
-            "{{\"seed\":{seed},\"makespan\":{},\"completed_work\":{},\
-             \"conservation_residual\":0,\"audit_findings\":[]}}",
-            json_num(answer.makespan),
-            json_num(answer.planned_work)
-        ));
+        put_int(&mut out, r#"{"seed":"#, run.seed);
+        put_num(&mut out, r#","makespan":"#, run.makespan);
+        if let Some(n) = run.num_chunks {
+            put_int(&mut out, r#","num_chunks":"#, n as u64);
+        }
+        put_num(&mut out, r#","completed_work":"#, run.completed_work);
+        put_num(
+            &mut out,
+            r#","conservation_residual":"#,
+            run.conservation_residual,
+        );
+        if let Some(m) = run.metrics {
+            put_int(&mut out, r#","metrics":{"trace_events":"#, m.trace_events);
+            put_num(
+                &mut out,
+                r#","link_utilization":"#,
+                m.link_utilization(run.makespan),
+            );
+            put_int(&mut out, r#","num_gaps":"#, m.num_gaps as u64);
+            out.push('}');
+        }
+        if let Some(rb) = run.robustness {
+            put_num(&mut out, r#","robustness":{"ratio":"#, rb.ratio);
+            put_num(
+                &mut out,
+                r#","clairvoyant_makespan":"#,
+                rb.clairvoyant_makespan,
+            );
+            put_opt(&mut out, r#","replanned_makespan":"#, rb.replanned_makespan);
+            put_num(
+                &mut out,
+                r#","analytic_lower_bound":"#,
+                rb.analytic_lower_bound,
+            );
+            out.push('}');
+        }
+        put_findings(&mut out, run.findings.iter());
+        out.push('}');
     }
-    body.push_str(&format!(
-        "],\"mean_makespan\":{},\"scheduler\":\"{}\"}}",
-        json_num(answer.makespan),
-        json_escape(&spec.kind.label())
-    ));
-    body
+    put_num(&mut out, r#"],"mean_makespan":"#, mean_makespan);
+    put_str(&mut out, r#","scheduler":"#, &spec.kind.label());
+    out.push('}');
+    out
 }

@@ -20,6 +20,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use crate::api::SimulateRequest;
+use crate::http::Response;
 use crate::sync::{lock, wait_timeout};
 
 /// A `/simulate` request in flight to a shard, with the slot its result
@@ -30,44 +31,33 @@ pub(crate) struct ShardJob {
     /// The request's plan cache key, composed by the HTTP worker; `None`
     /// when the spec already carries a solved prototype.
     pub plan_key: Option<String>,
-    /// Where the shard deposits the outcome.
+    /// Where the shard deposits the response.
     pub reply: std::sync::Arc<Reply>,
 }
 
-/// What a shard computed for one request: everything the HTTP worker
-/// needs to write the response.
-pub(crate) struct Outcome {
-    /// HTTP status code.
-    pub status: u16,
-    /// HTTP reason phrase.
-    pub reason: &'static str,
-    /// Response body (JSON for every status the shard produces).
-    pub body: String,
-}
-
 /// A one-shot reply slot: the HTTP worker blocks on it while the shard
-/// computes.
+/// computes the response.
 #[derive(Default)]
 pub(crate) struct Reply {
-    slot: Mutex<Option<Outcome>>,
+    slot: Mutex<Option<Response>>,
     ready: Condvar,
 }
 
 impl Reply {
-    /// Deposit the outcome and wake the waiting worker.
-    pub fn set(&self, outcome: Outcome) {
-        *lock(&self.slot) = Some(outcome);
+    /// Deposit the response and wake the waiting worker.
+    pub fn set(&self, response: Response) {
+        *lock(&self.slot) = Some(response);
         self.ready.notify_all();
     }
 
-    /// Block until the outcome arrives. During shutdown, gives an
+    /// Block until the response arrives. During shutdown, gives an
     /// in-flight shard a short grace period and then gives up (`None`) so
     /// a worker never deadlocks on a shard that already exited.
-    pub fn wait(&self, shutdown: &AtomicBool) -> Option<Outcome> {
+    pub fn wait(&self, shutdown: &AtomicBool) -> Option<Response> {
         let mut guard = lock(&self.slot);
         loop {
-            if let Some(outcome) = guard.take() {
-                return Some(outcome);
+            if let Some(response) = guard.take() {
+                return Some(response);
             }
             if shutdown.load(Ordering::SeqCst) {
                 guard = wait_timeout(&self.ready, guard, Duration::from_millis(250));
@@ -140,23 +130,13 @@ impl ShardPool {
     }
 }
 
-/// FNV-1a hash of a routing key.
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The shard a scenario key routes to: a stable function of the key only,
 /// so every worker sends the same scenario to the same shard.
 pub(crate) fn shard_index(key: &str, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
     }
-    (fnv1a(key.as_bytes()) % shards as u64) as usize
+    (rumr::fnv1a(key.as_bytes()) % shards as u64) as usize
 }
 
 #[cfg(test)]

@@ -153,6 +153,10 @@ fn malformed_requests_get_4xx() {
         ("POST", "/simulate", "[]", 400),
         ("GET", "/plan", "", 405),
         ("POST", "/healthz", "", 405),
+        ("PUT", "/plan", "", 405),
+        ("DELETE", "/simulate", "", 405),
+        ("PUT", "/healthz", "", 405),
+        ("DELETE", "/metrics", "", 405),
         ("GET", "/nope", "", 404),
     ];
     for (method, path, body, expected) in cases {
@@ -163,6 +167,75 @@ fn malformed_requests_get_4xx() {
             "{method} {path}: {response}"
         );
     }
+    server.shutdown();
+}
+
+/// Whether `line` is an exposition sample, `name{label="value",…} number`,
+/// with no quote or backslash inside a label value.
+fn is_sample(line: &str) -> bool {
+    let ident = |s: &str| {
+        !s.is_empty()
+            && !s.starts_with(|c: char| c.is_ascii_digit())
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    let Some((series, value)) = line.rsplit_once(' ') else {
+        return false;
+    };
+    let (name, labels) = match series.split_once('{') {
+        None => (series, ""),
+        Some((name, rest)) => match rest.strip_suffix('}') {
+            Some(labels) if !labels.is_empty() => (name, labels),
+            _ => return false,
+        },
+    };
+    value.parse::<f64>().is_ok()
+        && ident(name)
+        && (labels.is_empty()
+            || labels.split(',').all(|pair| match pair.split_once('=') {
+                Some((key, v)) => {
+                    ident(key)
+                        && v.len() >= 2
+                        && v.starts_with('"')
+                        && v.ends_with('"')
+                        && !v[1..v.len() - 1].contains(['"', '\\'])
+                }
+                None => false,
+            }))
+}
+
+#[test]
+fn metrics_labels_come_from_the_route_table() {
+    let server = start(quiet_config());
+    for i in 0..100 {
+        let (status, _, _) = request(server.addr, "GET", &format!("/unknown-{i}"), "");
+        assert_eq!(status, 404);
+    }
+    let (status, _, _) = request(server.addr, "GET", "/x\"y", "");
+    assert_eq!(status, 404);
+    // A wrong method counts under the path's own label.
+    let (status, _, _) = request(server.addr, "PUT", "/v1/plan", "");
+    assert_eq!(status, 405);
+    let (status, _, _) = request(server.addr, "DELETE", "/jobs/0", "");
+    assert_eq!(status, 405);
+    let (_, _, metrics) = request(server.addr, "GET", "/metrics", "");
+    let series: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.starts_with("dls_serve_requests_total{"))
+        .collect();
+    assert_eq!(
+        series,
+        [
+            "dls_serve_requests_total{endpoint=\"/jobs/{id}\",status=\"405\"} 1",
+            "dls_serve_requests_total{endpoint=\"/plan\",status=\"405\"} 1",
+            "dls_serve_requests_total{endpoint=\"other\",status=\"404\"} 101",
+        ]
+    );
+    for line in metrics.lines().filter(|l| !l.starts_with('#')) {
+        assert!(is_sample(line), "not an exposition sample: {line}");
+    }
+    assert!(!is_sample(
+        "dls_serve_requests_total{endpoint=\"/x\"y\",status=\"404\"} 1"
+    ));
     server.shutdown();
 }
 
@@ -413,9 +486,13 @@ fn v1_aliases_and_version_markers() {
 fn errors_use_the_unified_payload_shape() {
     let server = start(quiet_config());
     let non_finite = SIMULATE.replace("\"w_total\": 1000", "\"w_total\": 1e999");
-    let cases: [(&str, &str, &str, u16, &str); 5] = [
+    let cases: [(&str, &str, &str, u16, &str); 9] = [
         ("POST", "/plan", "{not json", 400, "bad_request"),
         ("GET", "/plan", "", 405, "method_not_allowed"),
+        ("PUT", "/plan", "", 405, "method_not_allowed"),
+        ("DELETE", "/simulate", "", 405, "method_not_allowed"),
+        ("PUT", "/healthz", "", 405, "method_not_allowed"),
+        ("DELETE", "/metrics", "", 405, "method_not_allowed"),
         ("GET", "/nope", "", 404, "not_found"),
         ("POST", "/simulate", &non_finite, 422, "unprocessable"),
         ("GET", "/jobs/99", "", 404, "not_found"),
