@@ -305,8 +305,16 @@ impl Response {
     }
 
     /// Write the response and flush. `keep_alive` selects the
-    /// `Connection` header; every other byte is the same either way.
-    pub fn write(&self, stream: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+    /// `Connection` header; every other byte is the same either way. The
+    /// answer to a `HEAD` request (`head_only`) ends after its headers,
+    /// whose `Content-Length` still counts the body it leaves out
+    /// (RFC 9110 §9.3.2).
+    pub fn write(
+        &self,
+        stream: &mut impl Write,
+        keep_alive: bool,
+        head_only: bool,
+    ) -> io::Result<()> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut wire = Vec::with_capacity(160 + self.headers.len() + self.body.len());
         let _ = write!(
@@ -320,7 +328,9 @@ impl Response {
         );
         // One write: head + body in separate segments would trip the
         // Nagle / delayed-ACK interaction (~40 ms per response).
-        wire.extend_from_slice(self.body.as_bytes());
+        if !head_only {
+            wire.extend_from_slice(self.body.as_bytes());
+        }
         stream.write_all(&wire)?;
         stream.flush()
     }
@@ -336,7 +346,9 @@ mod tests {
     fn response_head_follows_from_the_status() {
         let mut wire = Vec::new();
         let response = Response::error(503, "queue \"full\"").header("Retry-After", "1");
-        response.write(&mut wire, false).unwrap();
+        response.write(&mut wire, false, false).unwrap();
+        let mut head_only = Vec::new();
+        response.write(&mut head_only, false, true).unwrap();
         let body =
             r#"{"api_version":"v1","code":"unavailable","error":"queue \"full\"","detail":null}"#;
         let head = format!(
@@ -345,6 +357,7 @@ mod tests {
              Retry-After: 1\r\n\r\n",
             body.len()
         );
+        assert_eq!(String::from_utf8(head_only).unwrap(), head);
         assert_eq!(String::from_utf8(wire).unwrap(), head + body);
     }
 

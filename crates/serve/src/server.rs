@@ -365,7 +365,7 @@ fn reject(shared: &Shared, mut stream: TcpStream) {
     }
     let _ = Response::error(503, "request queue full")
         .header("Retry-After", "1")
-        .write(&mut stream, false);
+        .write(&mut stream, false, false);
     let _ = stream.shutdown(std::net::Shutdown::Write);
 }
 
@@ -398,9 +398,9 @@ type After = Box<dyn FnOnce(&Shared)>;
 /// closes it, opts out of keep-alive, goes idle past the timeout, or
 /// sends something malformed (after which framing cannot be trusted, so
 /// the error response carries `Connection: close` and the socket is
-/// dropped). Each response is written and observed here, in one place;
-/// then the handler's after-work runs, before the connection's next
-/// request is read or it closes.
+/// dropped). Each response is written and observed here, in one place
+/// (without its body for a `HEAD` request); then the handler's after-work
+/// runs, before the connection's next request is read or it closes.
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let idle = Duration::from_millis(shared.config.keep_alive_timeout_ms.max(1));
     let _ = stream.set_read_timeout(Some(idle));
@@ -412,20 +412,23 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     loop {
         let read = read_request(&mut stream, &mut carry);
         let start = Instant::now();
-        let (label, response, after, keep) = match read {
+        let (label, response, after, keep, head_only) = match read {
             Ok(request) => {
                 let (path, label) = endpoint(&request.path);
                 let (response, after) = route(shared, &request, path, label);
-                (label, response, after, request.keep_alive)
+                let head_only = request.method == "HEAD";
+                (label, response, after, request.keep_alive, head_only)
             }
-            Err(ReadError::Bad(status, msg)) => ("bad", Response::error(status, &msg), None, false),
+            Err(ReadError::Bad(status, msg)) => {
+                ("bad", Response::error(status, &msg), None, false, false)
+            }
             // Timeout/reset mid-request, or a clean close between
             // requests: nothing (more) to serve.
             Err(ReadError::Io(_) | ReadError::Closed) => return,
         };
         // Once shutdown has begun, this answer is the connection's last.
         let keep = keep && !shared.shutdown.load(Ordering::SeqCst);
-        let _ = response.write(&mut stream, keep);
+        let _ = response.write(&mut stream, keep, head_only);
         shared
             .metrics
             .observe(label, response.status, start.elapsed().as_secs_f64());

@@ -52,22 +52,22 @@ fn send(stream: &mut TcpStream, method: &str, path: &str, body: &str, close: boo
     stream.write_all(body.as_bytes()).unwrap();
 }
 
-/// Read exactly one `Content-Length`-framed response off the stream.
-/// `carry` holds bytes already read past the previous response (pipelined
-/// responses arrive back-to-back); on return it holds the bytes past this
-/// one.
-fn read_framed(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, String, String) {
-    let mut buf = std::mem::take(carry);
+/// Read one response head (through its blank line) off the stream and
+/// return its status, head text and `Content-Length`. `carry` holds bytes
+/// already read past the previous response (pipelined responses arrive
+/// back-to-back); on return it holds the bytes past this head.
+fn read_head(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, String, usize) {
     let mut chunk = [0u8; 4096];
     let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+        if let Some(pos) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
         }
         let n = stream.read(&mut chunk).expect("read response head");
         assert!(n > 0, "connection closed before response head");
-        buf.extend_from_slice(&chunk[..n]);
+        carry.extend_from_slice(&chunk[..n]);
     };
-    let head = String::from_utf8(buf[..head_end].to_vec()).expect("utf8 head");
+    let head = String::from_utf8(carry[..head_end].to_vec()).expect("utf8 head");
+    carry.drain(..head_end + 4);
     let status: u16 = head
         .split_whitespace()
         .nth(1)
@@ -78,14 +78,20 @@ fn read_framed(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, String, Str
         .find_map(|l| l.strip_prefix("Content-Length: "))
         .and_then(|v| v.parse().ok())
         .expect("Content-Length header");
-    let total = head_end + 4 + content_length;
-    while buf.len() < total {
+    (status, head, content_length)
+}
+
+/// Read exactly one `Content-Length`-framed response off the stream;
+/// `carry` works as in [`read_head`].
+fn read_framed(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, String, String) {
+    let (status, head, content_length) = read_head(stream, carry);
+    let mut chunk = [0u8; 4096];
+    while carry.len() < content_length {
         let n = stream.read(&mut chunk).expect("read response body");
         assert!(n > 0, "connection closed mid-body");
-        buf.extend_from_slice(&chunk[..n]);
+        carry.extend_from_slice(&chunk[..n]);
     }
-    let body = String::from_utf8(buf[head_end + 4..total].to_vec()).expect("utf8 body");
-    carry.extend_from_slice(&buf[total..]);
+    let body = String::from_utf8(carry.drain(..content_length).collect()).expect("utf8 body");
     (status, head, body)
 }
 
@@ -154,6 +160,36 @@ fn sequential_keep_alive_matches_close_per_request() {
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "server must close after Connection: close");
+    server.shutdown();
+}
+
+/// The answer to `HEAD` is its status line and headers only (RFC 9110
+/// §9.3.2), so the next response on the connection starts right after
+/// them. No endpoint serves `HEAD`: a known path answers 405, an unknown
+/// one 404, each with the `Content-Length` of the error body it omits.
+#[test]
+fn head_response_has_no_body_on_keep_alive() {
+    let server = Server::start(config()).expect("server binds");
+    let mut stream = connect(server.addr);
+    let mut carry = Vec::new();
+    for (path, want) in [("/v1/plan", 405), ("/nowhere", 404), ("/healthz", 405)] {
+        send(&mut stream, "HEAD", path, "", false);
+        let (status, head, content_length) = read_head(&mut stream, &mut carry);
+        assert_eq!(status, want, "HEAD {path}: {head}");
+        assert!(content_length > 0, "HEAD {path}: {head}");
+        assert!(
+            head.contains("Connection: keep-alive"),
+            "HEAD {path}: {head}"
+        );
+        send(&mut stream, "GET", "/healthz", "", false);
+        let (status, _, body) = read_framed(&mut stream, &mut carry);
+        assert_eq!(
+            (status, body.as_str()),
+            (200, "ok\n"),
+            "GET after HEAD {path}"
+        );
+    }
+    assert!(carry.is_empty(), "bytes beyond the last response");
     server.shutdown();
 }
 

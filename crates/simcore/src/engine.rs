@@ -282,37 +282,20 @@ impl SimResult {
     }
 }
 
+/// A pending event. Chunk events carry only the chunk's ledger id; the
+/// [`ChunkRecord`] holds the rest, so a queue entry stays small.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
     /// A transfer's fixed `nLat` setup completed; its data phase joins the
-    /// shared pool.
-    SetupDone {
-        worker: usize,
-        chunk: f64,
-        /// Effective link rate `B_i / comm_factor` for this transfer.
-        link_rate: f64,
-        /// Perturbed `tLat` still to elapse after the last byte is pushed.
-        fly_time: f64,
-        /// First workload unit of the chunk (for trace-driven profiles).
-        unit_start: f64,
-        /// True for output returns (output-data extension).
-        is_return: bool,
-        /// Ledger id of the chunk ([`RETURN_ID`] for output returns).
-        id: usize,
-    },
+    /// shared pool. `id` indexes the work ledger, or the return table for
+    /// an output return (output-data extension).
+    SetupDone { id: usize, is_return: bool },
     /// Progress checkpoint for the transfer pool; stale epochs are ignored.
     PoolCheck { epoch: u64 },
-    Arrival {
-        worker: usize,
-        chunk: f64,
-        unit_start: f64,
-        id: usize,
-    },
-    ComputeEnd {
-        worker: usize,
-        chunk: f64,
-        id: usize,
-    },
+    /// The chunk's last byte reached its worker.
+    Arrival { id: usize },
+    /// The chunk's computation finished.
+    ComputeEnd { id: usize },
     /// A fault strikes (fault-injection extension). The next fault is
     /// queued into the event queue only when this one fires, so the fault-free
     /// path allocates no event sequence numbers to faults.
@@ -324,9 +307,8 @@ enum Event {
     Timer,
 }
 
-/// Sentinel ledger id for output returns, which carry no workload units and
-/// are not tracked by the work ledger.
-const RETURN_ID: usize = usize::MAX;
+// A queue entry is an event plus its 16-byte `(time, seq)` key: 32 bytes.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 /// Lifecycle of one dispatched chunk in the work ledger. The state machine
 /// doubles as stale-event invalidation: an `Arrival` or `ComputeEnd` whose
@@ -362,25 +344,26 @@ impl ChunkState {
 struct ChunkRecord {
     worker: usize,
     size: f64,
+    /// First workload unit of the chunk (for trace-driven profiles).
     unit_start: f64,
+    /// Effective link rate `B_i / comm_factor` of its transfer.
+    link_rate: f64,
+    /// Perturbed `tLat` still to elapse after the last byte is pushed.
+    fly_time: f64,
     state: ChunkState,
 }
 
 /// A transfer in its data phase, sharing the master's uplink.
 #[derive(Debug, Clone, Copy)]
 struct PoolTransfer {
-    worker: usize,
-    chunk: f64,
     remaining: f64,
     link_rate: f64,
     /// Currently assigned rate (recomputed whenever the pool changes).
     rate: f64,
-    fly_time: f64,
-    unit_start: f64,
     /// False for master→worker input sends, true for worker→master output
     /// returns (output-data extension).
     is_return: bool,
-    /// Ledger id ([`RETURN_ID`] for output returns).
+    /// Ledger id, or return-table index for an output return.
     id: usize,
 }
 
@@ -412,9 +395,8 @@ pub struct Engine<'a> {
     /// Per-worker live state; every scheduler consultation borrows it
     /// as `SimView::workers`, so it is never copied.
     views: Vec<WorkerView>,
-    /// Per-worker received chunks awaiting computation: (ledger id, size,
-    /// first unit).
-    queues: Vec<VecDeque<(usize, f64, f64)>>,
+    /// Per-worker received chunks awaiting computation, by ledger id.
+    queues: Vec<VecDeque<usize>>,
     trace: Trace,
     num_chunks: usize,
     dispatched_work: f64,
@@ -424,6 +406,9 @@ pub struct Engine<'a> {
     next_unit: f64,
     /// Output returns awaiting a free send slot (output-data extension).
     return_queue: VecDeque<(usize, f64)>,
+    /// Started output returns, indexed by their `SetupDone` id: (worker,
+    /// units, effective link rate).
+    returns: Vec<(usize, f64, f64)>,
     /// Total output units returned to the master.
     returned_work: f64,
     /// Work ledger: one record per dispatched chunk, indexed by chunk id.
@@ -449,6 +434,8 @@ pub struct Engine<'a> {
     /// Reused scratch for `apply_fault`'s doomed-chunk scan (a fresh `Vec`
     /// per fault used to dominate the fault path's allocations).
     doomed_buf: Vec<usize>,
+    /// Reused scratch for `recompute_pool_rates`'s unassigned streams.
+    unassigned_buf: Vec<usize>,
     lost_work: f64,
     lost_chunks: usize,
     redispatched_work: f64,
@@ -536,6 +523,7 @@ impl<'a> Engine<'a> {
             events_processed: 0,
             next_unit: 0.0,
             return_queue: VecDeque::new(),
+            returns: Vec::new(),
             returned_work: 0.0,
             ledger: Vec::with_capacity(event_capacity),
             fault_injector,
@@ -544,6 +532,7 @@ impl<'a> Engine<'a> {
             current_compute: vec![None; n],
             lost_units: VecDeque::new(),
             doomed_buf: Vec::new(),
+            unassigned_buf: Vec::new(),
             lost_work: 0.0,
             lost_chunks: 0,
             redispatched_work: 0.0,
@@ -589,6 +578,7 @@ impl<'a> Engine<'a> {
         self.events_processed = 0;
         self.next_unit = 0.0;
         self.return_queue.clear();
+        self.returns.clear();
         self.returned_work = 0.0;
         self.ledger.clear();
         self.fault_injector.rewind();
@@ -627,6 +617,11 @@ impl<'a> Engine<'a> {
         debug_assert!(time.is_finite() && time >= self.now - 1e-9);
         self.queue.push(time.max(self.now), self.seq, event);
         self.seq += 1;
+        // The queue is deepest right after a push.
+        if self.config.trace_mode.records_summary() {
+            let pending = self.queue.len() as u64;
+            self.counts.peak_pending = self.counts.peak_pending.max(pending);
+        }
     }
 
     fn record(&mut self, e: TraceEvent) {
@@ -685,10 +680,14 @@ impl<'a> Engine<'a> {
     }
 
     fn start_compute(&mut self, worker: usize, scheduler: &mut dyn Scheduler) {
-        let (id, chunk, unit_start) = match self.queues[worker].pop_front() {
-            Some(c) => c,
-            None => return,
+        let Some(id) = self.queues[worker].pop_front() else {
+            return;
         };
+        let ChunkRecord {
+            size: chunk,
+            unit_start,
+            ..
+        } = self.ledger[id];
         let v = &mut self.views[worker];
         v.queued_chunks -= 1;
         v.queued_work -= chunk;
@@ -711,10 +710,7 @@ impl<'a> Engine<'a> {
             time: self.now,
         });
         scheduler.on_compute_start(worker, chunk, self.now);
-        self.schedule(
-            self.now + effective,
-            Event::ComputeEnd { worker, chunk, id },
-        );
+        self.schedule(self.now + effective, Event::ComputeEnd { id });
     }
 
     /// Integrate pool progress from the last update to `now`.
@@ -739,7 +735,9 @@ impl<'a> Engine<'a> {
             }
             Some(capacity) => {
                 let mut remaining_capacity = capacity;
-                let mut unassigned: Vec<usize> = (0..self.pool.len()).collect();
+                let mut unassigned = std::mem::take(&mut self.unassigned_buf);
+                unassigned.clear();
+                unassigned.extend(0..self.pool.len());
                 // Water-filling: streams capped below the fair share get
                 // their cap; the rest split what remains.
                 loop {
@@ -766,6 +764,7 @@ impl<'a> Engine<'a> {
                         break;
                     }
                 }
+                self.unassigned_buf = unassigned;
             }
         }
     }
@@ -804,28 +803,23 @@ impl<'a> Engine<'a> {
                 let t = self.pool.remove(i);
                 self.dec_sending();
                 if t.is_return {
-                    self.returned_work += t.chunk;
+                    let (worker, bytes, _) = self.returns[t.id];
+                    self.returned_work += bytes;
                     self.record(TraceEvent::ReturnEnd {
-                        worker: t.worker,
-                        bytes: t.chunk,
+                        worker,
+                        bytes,
                         time: self.now,
                     });
                 } else {
-                    self.ledger[t.id].state = ChunkState::InFlight;
+                    let rec = &mut self.ledger[t.id];
+                    rec.state = ChunkState::InFlight;
+                    let (worker, chunk, fly_time) = (rec.worker, rec.size, rec.fly_time);
                     self.record(TraceEvent::SendEnd {
-                        worker: t.worker,
-                        chunk: t.chunk,
+                        worker,
+                        chunk,
                         time: self.now,
                     });
-                    self.schedule(
-                        self.now + t.fly_time,
-                        Event::Arrival {
-                            worker: t.worker,
-                            chunk: t.chunk,
-                            unit_start: t.unit_start,
-                            id: t.id,
-                        },
-                    );
+                    self.schedule(self.now + fly_time, Event::Arrival { id: t.id });
                 }
             } else {
                 i += 1;
@@ -845,22 +839,18 @@ impl<'a> Engine<'a> {
             let factor = self.injector.comm_factor(worker);
             let setup = spec.net_latency * factor;
             let link_rate = self.realized_bandwidth(worker) / factor;
-            let fly_time = spec.transfer_latency * factor;
             self.record(TraceEvent::ReturnStart {
                 worker,
                 bytes,
                 time: self.now,
             });
+            let id = self.returns.len();
+            self.returns.push((worker, bytes, link_rate));
             self.schedule(
                 self.now + setup,
                 Event::SetupDone {
-                    worker,
-                    chunk: bytes,
-                    link_rate,
-                    fly_time,
-                    unit_start: 0.0,
+                    id,
                     is_return: true,
-                    id: RETURN_ID,
                 },
             );
         }
@@ -952,6 +942,8 @@ impl<'a> Engine<'a> {
             worker,
             size: chunk,
             unit_start,
+            link_rate,
+            fly_time,
             state: ChunkState::Sending,
         });
         self.outstanding_chunks += 1;
@@ -964,13 +956,8 @@ impl<'a> Engine<'a> {
         self.schedule(
             self.now + setup,
             Event::SetupDone {
-                worker,
-                chunk,
-                link_rate,
-                fly_time,
-                unit_start,
-                is_return: false,
                 id,
+                is_return: false,
             },
         );
         Ok(())
@@ -1042,7 +1029,7 @@ impl<'a> Engine<'a> {
             }
             ChunkState::Queued => {
                 let queue = &mut self.queues[worker];
-                if let Some(pos) = queue.iter().position(|&(qid, _, _)| qid == id) {
+                if let Some(pos) = queue.iter().position(|&qid| qid == id) {
                     queue.remove(pos);
                 }
                 let v = &mut self.views[worker];
@@ -1333,30 +1320,25 @@ impl<'a> Engine<'a> {
             }
             self.now = time;
             match event {
-                Event::SetupDone {
-                    worker,
-                    chunk,
-                    link_rate,
-                    fly_time,
-                    unit_start,
-                    is_return,
-                    id,
-                } => {
-                    if !is_return && self.ledger[id].state == ChunkState::Lost {
-                        // Destroyed during setup by a fault; the loss was
-                        // accounted then — just free the send slot.
-                        self.dec_sending();
-                        continue;
-                    }
+                Event::SetupDone { id, is_return } => {
+                    let (remaining, link_rate) = if is_return {
+                        let (_, bytes, link_rate) = self.returns[id];
+                        (bytes, link_rate)
+                    } else {
+                        let rec = &self.ledger[id];
+                        if rec.state == ChunkState::Lost {
+                            // Destroyed during setup by a fault; the loss
+                            // was accounted then — just free the send slot.
+                            self.dec_sending();
+                            continue;
+                        }
+                        (rec.size, rec.link_rate)
+                    };
                     self.update_pool_progress();
                     self.pool.push(PoolTransfer {
-                        worker,
-                        chunk,
-                        remaining: chunk,
+                        remaining,
                         link_rate,
                         rate: 0.0,
-                        fly_time,
-                        unit_start,
                         is_return,
                         id,
                     });
@@ -1374,13 +1356,14 @@ impl<'a> Engine<'a> {
                     self.recompute_pool_rates();
                     self.schedule_pool_check();
                 }
-                Event::Arrival {
-                    worker,
-                    chunk,
-                    unit_start,
-                    id,
-                } => {
-                    if self.ledger[id].state != ChunkState::InFlight {
+                Event::Arrival { id } => {
+                    let ChunkRecord {
+                        worker,
+                        size: chunk,
+                        state,
+                        ..
+                    } = self.ledger[id];
+                    if state != ChunkState::InFlight {
                         continue; // Destroyed mid-flight by a link drop.
                     }
                     if !self.views[worker].alive {
@@ -1402,14 +1385,20 @@ impl<'a> Engine<'a> {
                     v.in_flight_work -= chunk;
                     v.queued_chunks += 1;
                     v.queued_work += chunk;
-                    self.queues[worker].push_back((id, chunk, unit_start));
+                    self.queues[worker].push_back(id);
                     scheduler.on_arrival(worker, chunk, self.now);
                     if !self.views[worker].computing {
                         self.start_compute(worker, scheduler);
                     }
                 }
-                Event::ComputeEnd { worker, chunk, id } => {
-                    if self.ledger[id].state != ChunkState::Computing {
+                Event::ComputeEnd { id } => {
+                    let ChunkRecord {
+                        worker,
+                        size: chunk,
+                        state,
+                        ..
+                    } = self.ledger[id];
+                    if state != ChunkState::Computing {
                         continue; // Stale: the chunk died with its worker.
                     }
                     self.ledger[id].state = ChunkState::Completed;
@@ -2168,6 +2157,34 @@ mod tests {
             let r = engine.run_reusing(&mut s).unwrap();
             assert_eq!(r.audit, Some(Vec::new()));
             engine.reset(exact(&platform));
+        }
+    }
+
+    /// The checker's per-worker tables reach a fixed point under
+    /// `reset`/`run_reusing`: after warm-up runs size them, a reset keeps
+    /// them and 100 further repetitions do not grow them.
+    #[test]
+    fn audit_reset_reuse_does_not_grow() {
+        let platform = unit_platform(3);
+        let cfg = SimConfig {
+            audit: true,
+            ..Default::default()
+        };
+        let plan: Vec<(usize, f64)> = (0..12).map(|i| (i % 3, 1.0 + i as f64)).collect();
+        let mut engine = Engine::new(&platform, exact(&platform), cfg);
+        let rep = |engine: &mut Engine| {
+            let mut s = ListScheduler::new(plan.clone());
+            assert_eq!(engine.run_reusing(&mut s).unwrap().audit, Some(Vec::new()));
+            engine.reset(exact(&platform));
+            engine.checker.as_ref().unwrap().capacity_probe()
+        };
+        for _ in 0..3 {
+            rep(&mut engine);
+        }
+        let warm = rep(&mut engine);
+        assert!(warm > 0, "a reset must keep the checker's tables");
+        for i in 0..100 {
+            assert_eq!(rep(&mut engine), warm, "checker tables grew at rep {i}");
         }
     }
 

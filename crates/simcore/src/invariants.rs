@@ -185,9 +185,32 @@ impl InvariantChecker {
         }
     }
 
-    /// Reset to the initial state (engine reuse between repetitions).
+    /// Reset to the initial state (engine reuse between repetitions),
+    /// keeping every table's allocation.
     pub fn reset(&mut self) {
-        *self = InvariantChecker::new(self.num_workers, self.max_sends);
+        self.event_index = 0;
+        self.last_time = 0.0;
+        self.open_sends.iter_mut().for_each(Vec::clear);
+        self.open_returns.iter_mut().for_each(Vec::clear);
+        self.open_send_count = 0;
+        self.sent_not_arrived.iter_mut().for_each(|q| q.clear());
+        self.queued.iter_mut().for_each(|q| q.clear());
+        self.computing.fill(None);
+        self.alive.fill(true);
+        self.seen_dispatched = 0.0;
+        self.seen_computed = 0.0;
+        self.seen_lost = 0.0;
+        self.findings.clear();
+        self.suppressed = 0;
+    }
+
+    /// Total allocated capacity (entries) of the per-worker tables. The
+    /// engine's reuse test asserts this stops growing across `reset`s.
+    #[cfg(test)]
+    pub(crate) fn capacity_probe(&self) -> usize {
+        let vecs = self.open_sends.iter().chain(&self.open_returns);
+        let deques = self.sent_not_arrived.iter().chain(&self.queued);
+        vecs.map(Vec::capacity).sum::<usize>() + deques.map(|q| q.capacity()).sum::<usize>()
     }
 
     /// Findings recorded so far.

@@ -37,6 +37,10 @@ pub struct EventCounts {
     pub chunk_losses: u64,
     /// Lost work re-sent (`Redispatch` markers).
     pub redispatches: u64,
+    /// Most events the engine's queue held at once (stale pool checks and
+    /// events of lost chunks included): the queue's depth, `O(N)` on a
+    /// star of `N` workers.
+    pub peak_pending: u64,
 }
 
 impl EventCounts {

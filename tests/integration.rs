@@ -63,6 +63,32 @@ fn every_scheduler_conserves_workload_and_validates() {
     }
 }
 
+/// A Table 1 star keeps `O(N)` events pending: at most one computation end
+/// per worker plus the one transfer's setup and pool check (`tLat = 0`, so
+/// an arrival fires at the instant its send ends). Peaks measured over the
+/// full Table 1 grid for the paper's competitors reach exactly `N + 2`.
+#[test]
+fn pending_event_depth_is_linear_in_workers() {
+    for n in [10, 30, 50] {
+        for (r, clat, nlat) in [(1.2, 0.0, 0.0), (1.6, 0.3, 0.6), (2.0, 1.0, 1.0)] {
+            for error in [0.0, 0.3] {
+                let scenario = Scenario::table1(n, r, clat, nlat, error);
+                for kind in all_kinds(error) {
+                    let spec = RunSpec::new(kind)
+                        .seed(5)
+                        .trace_mode(TraceMode::MetricsOnly);
+                    let result = scenario.execute(&spec).unwrap();
+                    let peak = result.metrics.unwrap().event_counts.peak_pending;
+                    assert!(
+                        (1..=n as u64 + 2).contains(&peak),
+                        "{kind} on N={n} r={r} cLat={clat} nLat={nlat} e={error}: peak {peak}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn rumr_equals_umr_without_error_everywhere() {
     for (n, r, clat, nlat) in [
