@@ -186,22 +186,41 @@ impl InvariantChecker {
     }
 
     /// Reset to the initial state (engine reuse between repetitions),
-    /// keeping every table's allocation.
+    /// keeping every table's allocation. The pattern names every field, so
+    /// a new field does not compile until it is reset here too.
     pub fn reset(&mut self) {
-        self.event_index = 0;
-        self.last_time = 0.0;
-        self.open_sends.iter_mut().for_each(Vec::clear);
-        self.open_returns.iter_mut().for_each(Vec::clear);
-        self.open_send_count = 0;
-        self.sent_not_arrived.iter_mut().for_each(|q| q.clear());
-        self.queued.iter_mut().for_each(|q| q.clear());
-        self.computing.fill(None);
-        self.alive.fill(true);
-        self.seen_dispatched = 0.0;
-        self.seen_computed = 0.0;
-        self.seen_lost = 0.0;
-        self.findings.clear();
-        self.suppressed = 0;
+        let InvariantChecker {
+            num_workers: _,
+            max_sends: _,
+            event_index,
+            last_time,
+            open_sends,
+            open_returns,
+            open_send_count,
+            sent_not_arrived,
+            queued,
+            computing,
+            alive,
+            seen_dispatched,
+            seen_computed,
+            seen_lost,
+            findings,
+            suppressed,
+        } = self;
+        *event_index = 0;
+        *last_time = 0.0;
+        open_sends.iter_mut().for_each(Vec::clear);
+        open_returns.iter_mut().for_each(Vec::clear);
+        *open_send_count = 0;
+        sent_not_arrived.iter_mut().for_each(|q| q.clear());
+        queued.iter_mut().for_each(|q| q.clear());
+        computing.fill(None);
+        alive.fill(true);
+        *seen_dispatched = 0.0;
+        *seen_computed = 0.0;
+        *seen_lost = 0.0;
+        findings.clear();
+        *suppressed = 0;
     }
 
     /// Total allocated capacity (entries) of the per-worker tables. The

@@ -1,28 +1,20 @@
-//! The engine's pending-event queue: a binary heap, plus a FIFO lane for
-//! events due at the current time.
+//! The engine's pending-event queue: a binary heap on `(time, seq)`.
 //!
 //! The engine needs one operation pair — insert an event keyed by
 //! `(time, seq)` and remove the smallest such key — and its determinism
 //! contract requires the *exact* `(time, seq)` ascending total order, so
 //! simultaneous events fire in insertion (`seq`) order.
 //!
-//! Most keys go into a [`BinaryHeap`] on `(time bits, seq)`; for the
-//! non-negative times the engine pushes, the bits of an `f64` order exactly
-//! like its value. A star platform holds `O(N)` pending events, so the heap
-//! stays a few levels deep. An event due at exactly the current time (the
-//! time every lane entry is due at, set by the last heap pop that found the
-//! lane empty) skips the heap and joins the lane, a FIFO: on the paper's
-//! grid that is every `Arrival` (`tLat = 0`), every `SetupDone` at
-//! `nLat = 0` and any timer due now. Sequence numbers increase from push to
-//! push, so the lane is sorted, and `pop` takes the lane's front unless the
-//! heap's top has a smaller key: the queue pops exactly the sequence one
-//! heap on `(time, seq)` would. The property test in this module pins that
-//! against a reference heap over random push/pop/clear histories;
-//! `docs/BENCHMARKS.md` ("Event queue") records the measurements behind
-//! this design.
+//! Each key is one `u128`, `(time bits) << 64 | seq`; for the non-negative
+//! times the engine pushes, the bits of an `f64` order exactly like its
+//! value. A star platform holds `O(N)` pending events (`N + 2` on the
+//! paper's Table 1 stars), so the heap stays a few levels deep. The property
+//! test in this module pins the pop order against a reference heap over
+//! random push/pop/clear histories; `docs/BENCHMARKS.md` ("Event queue")
+//! records the measurements behind this design.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A heap entry: the key `(time bits) << 64 | seq`, which orders like
 /// `(time, seq)`, and the caller's payload, ordered in reverse so that the
@@ -54,22 +46,11 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-#[inline]
-fn key(time: u64, seq: u64) -> u128 {
-    (time as u128) << 64 | seq as u128
-}
-
 /// Pending-event priority queue over `(time, seq)` keys. `pop` always
-/// returns the entry with the smallest key. `seq` must increase from push
-/// to push between two [`EventQueue::clear`]s (the engine's event counter
-/// does), which keeps keys unique and the lane sorted.
+/// returns the entry with the smallest key.
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
-    /// Entries due at `now`, in `seq` order.
-    lane: VecDeque<(u64, T)>,
-    /// Bits of the time every lane entry is due at.
-    now: u64,
 }
 
 impl<T> EventQueue<T> {
@@ -78,22 +59,20 @@ impl<T> EventQueue<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
-            lane: VecDeque::new(),
-            now: 0,
         }
     }
 
     /// Number of pending entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len()
     }
 
-    /// Debug probe: total allocated capacity (entries) of the heap and the
-    /// lane. Used by the reuse tests to assert that repetition loops stop
-    /// growing allocations.
+    /// Debug probe: allocated capacity (entries) of the heap. Used by the
+    /// reuse tests to assert that repetition loops stop growing
+    /// allocations.
     pub fn capacity_probe(&self) -> usize {
-        self.heap.capacity() + self.lane.capacity()
+        self.heap.capacity()
     }
 
     /// Insert an entry. `time` must be finite and non-negative (`-0.0`
@@ -101,44 +80,20 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn push(&mut self, time: f64, seq: u64, item: T) {
         debug_assert!(time.is_finite() && time >= 0.0, "event time {time}");
-        let time = (time + 0.0).to_bits();
-        if time == self.now {
-            debug_assert!(self.lane.back().is_none_or(|&(last, _)| last < seq));
-            self.lane.push_back((seq, item));
-        } else {
-            self.heap.push(Entry {
-                key: key(time, seq),
-                item,
-            });
-        }
+        let key = ((time + 0.0).to_bits() as u128) << 64 | seq as u128;
+        self.heap.push(Entry { key, item });
     }
 
     /// Remove and return the entry with the smallest `(time, seq)` key.
     #[inline]
     pub fn pop(&mut self) -> Option<(f64, u64, T)> {
-        if let Some(&(seq, _)) = self.lane.front() {
-            if self
-                .heap
-                .peek()
-                .is_none_or(|top| key(self.now, seq) < top.key)
-            {
-                let (seq, item) = self.lane.pop_front().expect("just peeked");
-                return Some((f64::from_bits(self.now), seq, item));
-            }
-        }
         let Entry { key, item } = self.heap.pop()?;
-        let (time, seq) = ((key >> 64) as u64, key as u64);
-        if self.lane.is_empty() {
-            self.now = time;
-        }
-        Some((f64::from_bits(time), seq, item))
+        Some((f64::from_bits((key >> 64) as u64), key as u64, item))
     }
 
-    /// Empty the queue, keeping both buffers' allocations for reuse.
+    /// Empty the queue, keeping the heap's allocation for reuse.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.lane.clear();
-        self.now = 0;
     }
 }
 
@@ -190,10 +145,11 @@ mod tests {
         /// For any push/pop/clear history the queue pops the reference
         /// heap's exact `(time, seq)` sequence and holds as many entries
         /// after every operation. The drawn parameters shape a
-        /// xorshift-driven history: the weights of simultaneous (lane),
-        /// near-future and far-future (fault-style) pushes, the time scale,
-        /// the pop probability, and a `clear()` every `clear_every` rounds,
-        /// the way engine repetitions reuse the queue.
+        /// xorshift-driven history: the weights of simultaneous (due at
+        /// the time last popped), near-future and far-future (fault-style)
+        /// pushes, the time scale, the pop probability, and a `clear()`
+        /// every `clear_every` rounds, the way engine repetitions reuse the
+        /// queue.
         #[test]
         fn matches_reference_heap(
             seed in 1u64..u64::MAX,
