@@ -141,6 +141,14 @@ impl SchedulerKind {
                     value: error,
                 })
             }
+            SchedulerKind::Rumr(c) | SchedulerKind::HetRumr(c)
+                if !(c.factor.is_finite() && c.factor > 1.0) =>
+            {
+                Err(PlanError::InvalidParameter {
+                    param: "factor",
+                    value: c.factor,
+                })
+            }
             _ => Ok(()),
         }
     }
@@ -514,6 +522,22 @@ mod tests {
             e,
             BuildError::Plan(PlanError::InvalidParameter { param: "error", .. })
         ));
+        let slow = RumrConfig {
+            factor: 0.5,
+            ..RumrConfig::default()
+        };
+        for kind in [SchedulerKind::Rumr(slow), SchedulerKind::HetRumr(slow)] {
+            let Err(e) = kind.build(&p, 100.0) else {
+                panic!("expected a build error");
+            };
+            assert!(matches!(
+                e,
+                BuildError::Plan(PlanError::InvalidParameter {
+                    param: "factor",
+                    ..
+                })
+            ));
+        }
         // Oracles share the same gate.
         assert!(SchedulerKind::Factoring.oracle(&p, f64::INFINITY).is_err());
     }

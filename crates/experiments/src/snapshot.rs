@@ -149,7 +149,8 @@ pub struct Snapshot {
     /// at equal thread counts, so the count is recorded rather than
     /// inferred from `cpus`.
     pub sweep_threads: u64,
-    /// `git rev-parse HEAD` of the measured tree, or `"unknown"`.
+    /// `git rev-parse HEAD` of the measured tree, with `-dirty` appended
+    /// when tracked files had uncommitted changes, or `"unknown"`.
     pub commit: String,
     /// Peak resident set size of the process, bytes (`VmHWM`; 0 where
     /// `/proc` is unavailable).
@@ -642,16 +643,26 @@ fn hostname() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// `git rev-parse HEAD`, with `-dirty` appended when tracked files have
+/// uncommitted changes (the snapshot then measured code no commit
+/// holds); `unknown` outside a git checkout.
 fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]).filter(|s| !s.is_empty()) else {
+        return "unknown".into();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => format!("{head}-dirty"),
+        _ => head,
+    }
 }
 
 /// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`), or

@@ -90,6 +90,50 @@ impl RecoveryConfig {
         self.divergence_min_samples = min_samples;
         self
     }
+
+    /// Check the tuning: `factor` above 1, `min_chunk` positive,
+    /// `initial_backoff` non-negative, `backoff_factor` at least 1, a set
+    /// `divergence_threshold` positive, all finite, and
+    /// `divergence_min_samples` at least 1. [`Recovering::with_config`]
+    /// panics with this message.
+    ///
+    /// # Errors
+    ///
+    /// The first parameter out of range, as a message.
+    pub fn validate(&self) -> Result<(), String> {
+        for (holds, broken) in [
+            (
+                self.factor > 1.0 && self.factor.is_finite(),
+                "factor must exceed 1",
+            ),
+            (
+                self.min_chunk > 0.0 && self.min_chunk.is_finite(),
+                "min_chunk must be positive",
+            ),
+            (
+                self.initial_backoff >= 0.0 && self.initial_backoff.is_finite(),
+                "initial_backoff must be finite and non-negative",
+            ),
+            (
+                self.backoff_factor >= 1.0 && self.backoff_factor.is_finite(),
+                "backoff_factor must be at least 1",
+            ),
+            (
+                self.divergence_threshold
+                    .is_none_or(|t| t > 0.0 && t.is_finite()),
+                "divergence_threshold must be positive and finite",
+            ),
+            (
+                self.divergence_min_samples >= 1,
+                "divergence_min_samples must be at least 1",
+            ),
+        ] {
+            if !holds {
+                return Err(broken.into());
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Per-worker observation window for the divergence check: actual vs.
@@ -144,35 +188,10 @@ impl<S: Scheduler> Recovering<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `factor <= 1`, `min_chunk <= 0`, or the backoff parameters
-    /// are negative or non-finite.
+    /// Panics with [`RecoveryConfig::validate`]'s message if `config`
+    /// breaks one of its rules.
     pub fn with_config(inner: S, config: RecoveryConfig) -> Self {
-        assert!(
-            config.factor > 1.0 && config.factor.is_finite(),
-            "factor must exceed 1"
-        );
-        assert!(
-            config.min_chunk > 0.0 && config.min_chunk.is_finite(),
-            "min_chunk must be positive"
-        );
-        assert!(
-            config.initial_backoff >= 0.0 && config.initial_backoff.is_finite(),
-            "initial_backoff must be finite and non-negative"
-        );
-        assert!(
-            config.backoff_factor >= 1.0 && config.backoff_factor.is_finite(),
-            "backoff_factor must be at least 1"
-        );
-        if let Some(t) = config.divergence_threshold {
-            assert!(
-                t > 0.0 && t.is_finite(),
-                "divergence_threshold must be positive and finite"
-            );
-            assert!(
-                config.divergence_min_samples >= 1,
-                "divergence_min_samples must be at least 1"
-            );
-        }
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         Recovering {
             inner,
             config,

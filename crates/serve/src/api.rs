@@ -8,14 +8,14 @@
 //! same defaults the Rust builders use) and strict about types: a field of
 //! the wrong JSON type is a 400, not a silent default.
 //!
-//! The service's cache keys and shard route are canonical texts of the
-//! decoded request in its explicit form (defaults filled in, the
-//! `homogeneous` shorthand expanded): the bytes [`Json::canonical`] writes
-//! for that document, keys sorted and no whitespace. The `write_*`
-//! functions below write that text straight from the decoded values, with
-//! the fields already in sorted order and every number through
-//! [`put_num`]. The tests pin it byte for byte against a JSON-tree
-//! reference, and check that decoding it gives the request back.
+//! The service's cache keys are canonical texts of the decoded request in
+//! its explicit form (defaults filled in, the `homogeneous` shorthand
+//! expanded): the bytes [`Json::canonical`] writes for that document,
+//! keys sorted and no whitespace. The `write_*` functions below write that
+//! text straight from the decoded values, with the fields already in
+//! sorted order and every number through [`put_num`]. The tests pin it
+//! byte for byte against a JSON-tree reference, and check that decoding
+//! it gives the request back.
 
 use dls_experiments::json::{parse_json, put_bool, put_num, put_opt, Json};
 use rumr::sim::FaultAction;
@@ -306,16 +306,19 @@ fn write_error_model(out: &mut String, model: &ErrorModel) {
 }
 
 /// Decode an error model; a missing `error` field means 0 and `kind:
-/// "none"` ignores it.
+/// "none"` ignores it. A model that breaks [`ErrorModel::validate`] is
+/// refused.
 pub fn decode_error_model(v: &Json) -> Result<ErrorModel, ApiError> {
     let error = opt_num_field(v, "error")?.unwrap_or(0.0);
-    match str_field(v, "kind")? {
-        "none" => Ok(ErrorModel::None),
-        "normal" => Ok(ErrorModel::TruncatedNormal { error }),
-        "inverse" => Ok(ErrorModel::TruncatedNormalInverse { error }),
-        "uniform" => Ok(ErrorModel::Uniform { error }),
-        other => err(format!("unknown error model '{other}'")),
-    }
+    let model = match str_field(v, "kind")? {
+        "none" => ErrorModel::None,
+        "normal" => ErrorModel::TruncatedNormal { error },
+        "inverse" => ErrorModel::TruncatedNormalInverse { error },
+        "uniform" => ErrorModel::Uniform { error },
+        other => return err(format!("unknown error model '{other}'")),
+    };
+    model.validate().map_err(ApiError)?;
+    Ok(model)
 }
 
 // ---------------------------------------------------------------------------
@@ -371,7 +374,8 @@ fn write_fault_model(out: &mut String, model: &FaultModel) {
 
 /// Decode a fault model: `{"kind": "none"}`, `{"kind": "plan", "events":
 /// [{"time", "worker", "action"}, ...]}` or `{"kind": "poisson", "mttf",
-/// "horizon", "mttr"?, "link_mtbf"?, "seed"?}`.
+/// "horizon", "mttr"?, "link_mtbf"?, "seed"?}`. Poisson parameters are
+/// checked with the rest of the configuration ([`decode_sim_config`]).
 pub fn decode_fault_model(v: &Json) -> Result<FaultModel, ApiError> {
     match str_field(v, "kind")? {
         "none" => Ok(FaultModel::None),
@@ -394,20 +398,13 @@ pub fn decode_fault_model(v: &Json) -> Result<FaultModel, ApiError> {
             }
             Ok(FaultModel::Plan(plan))
         }
-        "poisson" => {
-            let mttf = num_field(v, "mttf")?;
-            let horizon = num_field(v, "horizon")?;
-            if !(mttf.is_finite() && mttf > 0.0 && horizon.is_finite() && horizon > 0.0) {
-                return err("poisson faults need finite positive 'mttf' and 'horizon'");
-            }
-            Ok(FaultModel::Poisson(PoissonFaults {
-                mttf,
-                mttr: opt_num_field(v, "mttr")?,
-                link_mtbf: opt_num_field(v, "link_mtbf")?,
-                horizon,
-                seed: u64_field_or(v, "seed", 0)?,
-            }))
-        }
+        "poisson" => Ok(FaultModel::Poisson(PoissonFaults {
+            mttf: num_field(v, "mttf")?,
+            mttr: opt_num_field(v, "mttr")?,
+            link_mtbf: opt_num_field(v, "link_mtbf")?,
+            horizon: num_field(v, "horizon")?,
+            seed: u64_field_or(v, "seed", 0)?,
+        })),
         other => err(format!("unknown fault model '{other}'")),
     }
 }
@@ -425,34 +422,30 @@ fn write_recovery(out: &mut String, r: &RecoveryConfig) {
 }
 
 /// Decode a recovery policy; missing fields take the Rust defaults, and
-/// the literal `true` selects the defaults wholesale.
+/// the literal `true` selects the defaults wholesale. A policy that breaks
+/// [`RecoveryConfig::validate`] is refused.
 pub fn decode_recovery(v: &Json) -> Result<RecoveryConfig, ApiError> {
     if v.bool() == Some(true) {
         return Ok(RecoveryConfig::default());
     }
     let d = RecoveryConfig::default();
-    let divergence_threshold = opt_num_field(v, "divergence_threshold")?;
-    if let Some(t) = divergence_threshold {
-        if !(t.is_finite() && t > 0.0) {
-            return err("recovery divergence_threshold must be positive and finite");
-        }
-    }
-    let divergence_min_samples = usize_field_or(
+    let samples = usize_field_or(
         v,
         "divergence_min_samples",
         d.divergence_min_samples as usize,
     )?;
-    if divergence_min_samples == 0 || divergence_min_samples > u32::MAX as usize {
-        return err("recovery divergence_min_samples must be in 1..=2^32-1");
-    }
-    Ok(RecoveryConfig {
+    let recovery = RecoveryConfig {
         initial_backoff: opt_num_field(v, "initial_backoff")?.unwrap_or(d.initial_backoff),
         backoff_factor: opt_num_field(v, "backoff_factor")?.unwrap_or(d.backoff_factor),
         factor: opt_num_field(v, "factor")?.unwrap_or(d.factor),
         min_chunk: opt_num_field(v, "min_chunk")?.unwrap_or(d.min_chunk),
-        divergence_threshold,
-        divergence_min_samples: divergence_min_samples as u32,
-    })
+        divergence_threshold: opt_num_field(v, "divergence_threshold")?,
+        divergence_min_samples: u32::try_from(samples).map_err(|_| {
+            ApiError("recovery divergence_min_samples must be in 1..=2^32-1".into())
+        })?,
+    };
+    recovery.validate().map_err(ApiError)?;
+    Ok(recovery)
 }
 
 /// Append a speed-revelation model as a tagged object (`kind`:
@@ -505,24 +498,7 @@ pub fn decode_speed_model(v: &Json) -> Result<SpeedModel, ApiError> {
         },
         other => return err(format!("unknown speed model '{other}'")),
     };
-    // Validate ranges here (client input must not reach the engine's
-    // panicking asserts).
-    let ok = match model {
-        SpeedModel::Declared => true,
-        SpeedModel::Stochastic { spread, .. } => spread.is_finite() && (0.0..1.0).contains(&spread),
-        SpeedModel::Sandbagged {
-            fraction, slowdown, ..
-        }
-        | SpeedModel::Adversarial { fraction, slowdown } => {
-            fraction.is_finite()
-                && (0.0..=1.0).contains(&fraction)
-                && slowdown.is_finite()
-                && slowdown >= 1.0
-        }
-    };
-    if !ok {
-        return err("speed model parameters out of range (spread in [0,1), fraction in [0,1], slowdown >= 1)");
-    }
+    model.validate().map_err(ApiError)?;
     Ok(model)
 }
 
@@ -561,7 +537,8 @@ fn write_sim_config(out: &mut String, c: &SimConfig) {
 }
 
 /// Decode an engine configuration; missing fields take
-/// [`SimConfig::default`].
+/// [`SimConfig::default`]. A configuration that breaks
+/// [`SimConfig::validate`] is refused, so the engine never sees one.
 pub fn decode_sim_config(v: &Json) -> Result<SimConfig, ApiError> {
     let d = SimConfig::default();
     let trace_mode = match v.get("trace_mode") {
@@ -571,7 +548,7 @@ pub fn decode_sim_config(v: &Json) -> Result<SimConfig, ApiError> {
                 .ok_or_else(|| ApiError("field 'trace_mode' must be a string".into()))?,
         )?,
     };
-    Ok(SimConfig {
+    let config = SimConfig {
         trace_mode,
         max_events: u64_field_or(v, "max_events", d.max_events)?,
         max_concurrent_sends: usize_field_or(v, "max_concurrent_sends", d.max_concurrent_sends)?,
@@ -586,7 +563,9 @@ pub fn decode_sim_config(v: &Json) -> Result<SimConfig, ApiError> {
             None | Some(Json::Null) => SpeedModel::Declared,
             Some(s) => decode_speed_model(s)?,
         },
-    })
+    };
+    config.validate().map_err(ApiError)?;
+    Ok(config)
 }
 
 /// Append a [`RunSpec`] (without any attached prototype — that is
@@ -672,19 +651,16 @@ impl PlanRequest {
     /// field order, the homogeneous shorthand expanded) produce the same
     /// string. This is the plan cache key.
     pub fn cache_key(&self) -> String {
-        let mut platform = String::new();
-        write_platform(&mut platform, &self.platform);
-        plan_key(&platform, &self.kind, self.w_total)
+        plan_key(&self.platform, &self.kind, self.w_total)
     }
 }
 
-/// The plan cache key of a (platform, scheduler, workload) triple, given
-/// the platform's canonical text:
+/// The plan cache key of a (platform, scheduler, workload) triple:
 /// `{"platform":...,"scheduler":...,"w_total":...}`.
-fn plan_key(platform: &str, kind: &SchedulerKind, w_total: f64) -> String {
+fn plan_key(platform: &Platform, kind: &SchedulerKind, w_total: f64) -> String {
     let mut out = String::new();
     out.push_str(r#"{"platform":"#);
-    out.push_str(platform);
+    write_platform(&mut out, platform);
     out.push_str(r#","scheduler":"#);
     write_scheduler(&mut out, kind);
     put_num(&mut out, r#","w_total":"#, w_total);
@@ -692,16 +668,16 @@ fn plan_key(platform: &str, kind: &SchedulerKind, w_total: f64) -> String {
     out
 }
 
-/// A scenario's canonical text around the platform's canonical text, with
-/// the run spec when one is given:
+/// A scenario's canonical text, with the run spec when one is given:
 /// `{"error_model":...,"platform":...,"run":...,"w_total":...}` is the
-/// whole `/simulate` request, and without `run` it is the shard route.
-fn scenario_text(scenario: &Scenario, platform: &str, run: Option<&RunSpec>) -> String {
+/// whole `/simulate` request, and without `run` it is
+/// [`SimulateRequest::scenario_key`].
+fn scenario_text(scenario: &Scenario, run: Option<&RunSpec>) -> String {
     let mut out = String::new();
     out.push_str(r#"{"error_model":"#);
     write_error_model(&mut out, &scenario.error_model);
     out.push_str(r#","platform":"#);
-    out.push_str(platform);
+    write_platform(&mut out, &scenario.platform);
     if let Some(spec) = run {
         out.push_str(r#","run":"#);
         write_run_spec(&mut out, spec);
@@ -760,66 +736,31 @@ impl SimulateRequest {
         })
     }
 
-    /// Canonicalized request body (cache/debug identity; `/simulate`
-    /// responses are deterministic in this string).
+    /// Canonicalized request body: the `/simulate` response cache key and
+    /// the audit's sampling key (`/simulate` responses are deterministic
+    /// in this string).
     pub fn canonical(&self) -> String {
-        self.keys().canonical()
+        scenario_text(&self.scenario, Some(&self.spec))
     }
 
-    /// The canonicalized *scenario* (platform + workload + error model,
-    /// without the run spec) — the engine-shard routing key. Two requests
-    /// that run on the same engine state produce the same string, so
-    /// affinity routing sends them to the same shard.
+    /// The canonicalized *scenario*: platform + workload + error model,
+    /// without the run spec. The server renders no such key; it stays
+    /// public because perfbench's serving replay still renders it.
     pub fn scenario_key(&self) -> String {
-        self.keys().scenario_key()
+        scenario_text(&self.scenario, None)
     }
 
     /// The plan-cache key of this request's (platform, workload,
-    /// scheduler) triple — `/simulate` uses it to reuse a prototype planned
-    /// by an earlier `/plan`.
+    /// scheduler) triple, equal to the [`PlanRequest::cache_key`] of the
+    /// `/plan` body naming it. The server renders no such key for a
+    /// `/simulate`; it stays public because perfbench's serving replay
+    /// still renders it.
     pub fn plan_key(&self) -> String {
-        self.keys().plan_key()
-    }
-
-    /// Render the platform's canonical text once, for composing any of
-    /// the request's three keys. The platform is the bulk of every key,
-    /// so a caller that needs more than one key should hold one
-    /// [`SimulateKeys`].
-    pub fn keys(&self) -> SimulateKeys<'_> {
-        let mut platform = String::new();
-        write_platform(&mut platform, &self.scenario.platform);
-        SimulateKeys {
-            request: self,
-            platform,
-        }
-    }
-}
-
-/// The canonical keys of one `/simulate` request, composed around one
-/// render of its platform (see [`SimulateRequest::keys`]). Each key is
-/// byte-identical to the canonical form of its whole document.
-#[derive(Debug)]
-pub struct SimulateKeys<'a> {
-    request: &'a SimulateRequest,
-    platform: String,
-}
-
-impl SimulateKeys<'_> {
-    /// [`SimulateRequest::canonical`]: the `/simulate` response cache key.
-    pub fn canonical(&self) -> String {
-        let r = self.request;
-        scenario_text(&r.scenario, &self.platform, Some(&r.spec))
-    }
-
-    /// [`SimulateRequest::scenario_key`]: the shard routing key.
-    pub fn scenario_key(&self) -> String {
-        scenario_text(&self.request.scenario, &self.platform, None)
-    }
-
-    /// [`SimulateRequest::plan_key`]: the plan cache key.
-    pub fn plan_key(&self) -> String {
-        let r = self.request;
-        plan_key(&self.platform, &r.spec.kind, r.scenario.w_total)
+        plan_key(
+            &self.scenario.platform,
+            &self.spec.kind,
+            self.scenario.w_total,
+        )
     }
 }
 
@@ -1302,6 +1243,90 @@ mod tests {
         .is_err());
     }
 
+    /// Every engine rule, the ones the decoders checked on their own before
+    /// included, refuses a value just outside its range and accepts the
+    /// range's edge.
+    #[test]
+    fn engine_rules_refuse_at_decode_and_accept_their_edges() {
+        let body = |error: &str, extra: &str| {
+            format!(
+                r#"{{"platform": {{"homogeneous": {{"n": 4, "ratio": 1.5,
+                    "comp_latency": 0.1, "net_latency": 0.1}}}}, "w_total": 100,
+                    "error_model": {{"kind": "normal", "error": {error}}},
+                    "run": {{"scheduler": {{"kind": "factoring"}}{extra}}}}}"#
+            )
+        };
+        let config = |c: &str| format!(r#", "config": {c}"#);
+        let poisson = |p: &str| config(&format!(r#"{{"faults": {{"kind": "poisson", {p}}}}}"#));
+        let speeds = |m: &str| config(&format!(r#"{{"speeds": {{{m}}}}}"#));
+        let recovery = |r: &str| format!(r#", "recovery": {{{r}}}"#);
+        let refused = [
+            body("-0.01", ""),
+            body("0", &config(r#"{"max_concurrent_sends": 0}"#)),
+            body("0", &config(r#"{"uplink_capacity": 0}"#)),
+            body("0", &config(r#"{"output_ratio": -0.01}"#)),
+            body("0", &poisson(r#""mttf": 0, "horizon": 10"#)),
+            body("0", &poisson(r#""mttf": 1, "horizon": 0"#)),
+            body("0", &poisson(r#""mttf": 1, "horizon": 10, "mttr": 0"#)),
+            body(
+                "0",
+                &poisson(r#""mttf": 1, "horizon": 10, "link_mtbf": -1"#),
+            ),
+            body("0", &speeds(r#""kind": "stochastic", "spread": 1"#)),
+            body(
+                "0",
+                &speeds(r#""kind": "sandbag", "fraction": 1.01, "slowdown": 2"#),
+            ),
+            body(
+                "0",
+                &speeds(r#""kind": "adversarial", "fraction": 0.5, "slowdown": 0.99"#),
+            ),
+            body("0", &recovery(r#""factor": 1"#)),
+            body("0", &recovery(r#""min_chunk": 0"#)),
+            body("0", &recovery(r#""initial_backoff": -0.01"#)),
+            body("0", &recovery(r#""backoff_factor": 0.99"#)),
+            body("0", &recovery(r#""divergence_threshold": 0"#)),
+            body("0", &recovery(r#""divergence_min_samples": 0"#)),
+            body("0", &recovery(r#""divergence_min_samples": 4294967296"#)),
+        ];
+        for bad in &refused {
+            assert!(SimulateRequest::from_json_str(bad).is_err(), "{bad}");
+        }
+        let accepted = [
+            body(
+                "0",
+                &config(r#"{"max_concurrent_sends": 1, "output_ratio": 0}"#),
+            ),
+            body(
+                "0",
+                &config(r#"{"max_concurrent_sends": 2, "uplink_capacity": 1e-9}"#),
+            ),
+            body(
+                "0",
+                &poisson(r#""mttf": 1e-9, "horizon": 1e-9, "mttr": 1e-9"#),
+            ),
+            body("0", &speeds(r#""kind": "stochastic", "spread": 0"#)),
+            body(
+                "0",
+                &speeds(r#""kind": "sandbag", "fraction": 1, "slowdown": 1"#),
+            ),
+            body(
+                "0",
+                &speeds(r#""kind": "adversarial", "fraction": 0, "slowdown": 1"#),
+            ),
+            body(
+                "0",
+                &recovery(r#""factor": 1.01, "initial_backoff": 0, "backoff_factor": 1"#),
+            ),
+            body("0", &recovery(r#""divergence_min_samples": 4294967295"#)),
+        ];
+        for good in &accepted {
+            let request =
+                SimulateRequest::from_json_str(good).unwrap_or_else(|e| panic!("{good}: {e}"));
+            assert!(request.spec.config.validate().is_ok(), "{good}");
+        }
+    }
+
     #[test]
     fn jobs_request_decodes_and_validates() {
         let body = r#"{"platform": {"homogeneous": {"n": 4, "ratio": 1.5,
@@ -1410,11 +1435,7 @@ mod tests {
                         );
                         let r = SimulateRequest::from_json_str(&body)
                             .unwrap_or_else(|e| panic!("{body}: {e}"));
-                        let keys = r.keys();
                         let [canonical, scenario, plan] = whole_document_keys(&r);
-                        assert_eq!(keys.canonical(), canonical, "{body}");
-                        assert_eq!(keys.scenario_key(), scenario, "{body}");
-                        assert_eq!(keys.plan_key(), plan, "{body}");
                         assert_eq!(r.canonical(), canonical, "{body}");
                         assert_eq!(r.scenario_key(), scenario, "{body}");
                         assert_eq!(r.plan_key(), plan, "{body}");
@@ -1429,9 +1450,9 @@ mod tests {
                         assert_eq!(plan_request.cache_key(), plan, "{plan_body}");
                         // FNV-1a over every key, each ended by a newline.
                         for key in [
-                            keys.canonical(),
-                            keys.scenario_key(),
-                            keys.plan_key(),
+                            r.canonical(),
+                            r.scenario_key(),
+                            r.plan_key(),
                             plan_request.cache_key(),
                         ] {
                             for b in key.bytes().chain([b'\n']) {
@@ -1711,18 +1732,14 @@ mod tests {
         }
     }
 
-    /// Every key, as the request's methods, [`SimulateKeys`] and the
-    /// `/plan` request naming the same triple write it, against the
-    /// reference's whole-document canonical forms.
+    /// Every key, as the request's methods and the `/plan` request naming
+    /// the same triple write it, against the reference's whole-document
+    /// canonical forms.
     fn check_keys(r: &SimulateRequest) -> Result<(), TestCaseError> {
         let [canonical, scenario, plan] = whole_document_keys(r);
-        let keys = r.keys();
         prop_assert_eq!(&r.canonical(), &canonical);
-        prop_assert_eq!(&keys.canonical(), &canonical);
         prop_assert_eq!(&r.scenario_key(), &scenario);
-        prop_assert_eq!(&keys.scenario_key(), &scenario);
         prop_assert_eq!(&r.plan_key(), &plan);
-        prop_assert_eq!(&keys.plan_key(), &plan);
         let plan_request = PlanRequest {
             platform: r.scenario.platform.clone(),
             w_total: r.scenario.w_total,

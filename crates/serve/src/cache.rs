@@ -1,13 +1,10 @@
-//! Canonical-key LRU caches: the `/plan` prototype cache and the
+//! Canonical-key LRU caches: the `/plan` response cache and the
 //! `/simulate` response cache.
 //!
 //! `/plan` is a pure function of (platform, workload, scheduler), and the
 //! planner solve behind it is the expensive part of a request. The plan
-//! cache stores, per canonical request key, the response body *and* the
-//! solved [`SchedulerPrototype`] — so a hit answers `/plan` without
-//! touching the planner, and `/simulate` of a cached (platform, workload,
-//! scheduler) triple skips its planner solve too (prototypes stamp out
-//! fresh schedulers via state clone).
+//! cache stores, per canonical request key, the response body and where
+//! it came from, so a hit answers `/plan` without touching the planner.
 //!
 //! `/simulate` responses are byte-deterministic in the canonicalized
 //! request (the engine is deterministic in (scenario, spec, seed), and
@@ -22,16 +19,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rumr::SchedulerPrototype;
-
 use crate::sync::lock;
 
-/// A cached `/plan` result: the solved prototype plus the exact response
-/// body served for it.
+/// A cached `/plan` result: the exact response body served for it, and
+/// its source.
 #[derive(Clone)]
 pub struct CachedPlan {
-    /// Solved scheduler, cloneable into fresh instances.
-    pub prototype: SchedulerPrototype,
     /// The JSON body `/plan` responds with, shared with every response
     /// that serves it.
     pub body: Arc<String>,
@@ -41,7 +34,7 @@ pub struct CachedPlan {
     pub source: &'static str,
 }
 
-/// The `/plan` cache: canonical request key → prototype + body.
+/// The `/plan` cache: canonical request key → body + source.
 pub type PlanCache = LruCache<Arc<CachedPlan>>;
 
 /// The `/simulate` response cache: canonical request key → response body.
@@ -129,15 +122,9 @@ impl<V: Clone> LruCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumr::{HomogeneousParams, SchedulerKind};
 
     fn plan(tag: &str) -> Arc<CachedPlan> {
-        let platform = HomogeneousParams::table1(4, 1.5, 0.2, 0.1).build().unwrap();
-        let prototype = SchedulerKind::Umr
-            .prototype(&platform, 1000.0)
-            .expect("solvable");
         Arc::new(CachedPlan {
-            prototype,
             body: Arc::new(tag.to_string()),
             source: "engine",
         })

@@ -9,22 +9,20 @@
 //! |---|---|
 //! | `POST /plan` | platform + workload + scheduler → chunk schedule + oracle prediction |
 //! | `POST /simulate` | one full DES run (optional faults/recovery) → metrics + audit findings |
-//! | `GET /metrics` | Prometheus text: request counts/latencies, cache counters, shard routing, queue depth |
+//! | `GET /metrics` | Prometheus text: request counts/latencies, cache counters, engine-slot runs, queue depth |
 //! | `GET /healthz` | liveness probe |
 //!
 //! Internals: a blocking acceptor feeds a bounded connection queue
 //! (backpressure: 503 + `Retry-After` when full; accept failures are
 //! counted and retried with backoff), a fixed worker-thread pool serves
 //! persistent HTTP/1.1 connections (keep-alive with in-order pipelining —
-//! see [`http`]), an LRU plan cache keyed by the canonicalized request
-//! (cached plans clone their [`rumr::SchedulerPrototype`] instead of
-//! re-running the planner), a `/simulate` response cache keyed by the
-//! canonical request body (sound because responses are byte-deterministic
-//! in it), and per-core engine shards with scenario-affinity routing so
-//! same-scenario requests reuse warm [`rumr::ScenarioRunner`] state no
-//! matter which connection carried them. The service consumes only the
-//! unified [`rumr::RunSpec`] API. See `docs/SERVICE.md` for the wire
-//! schema.
+//! see [`http`]) and runs the engine itself, an LRU plan cache keyed by
+//! the canonicalized request (a hit answers without running the planner),
+//! a `/simulate` response cache keyed by the canonical request body
+//! (sound because responses are byte-deterministic in it), and engine
+//! slots that bound how many `/simulate` engine runs happen at once. The
+//! service consumes only the unified [`rumr::RunSpec`] API. See
+//! `docs/SERVICE.md` for the wire schema.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +35,7 @@ pub mod server;
 mod shard;
 mod sync;
 
-pub use api::{ApiError, PlanRequest, SimulateKeys, SimulateRequest};
+pub use api::{ApiError, PlanRequest, SimulateRequest};
 pub use cache::{CachedPlan, LruCache, PlanCache, SimCache};
 pub use metrics::Metrics;
 pub use server::{Server, ServerConfig};

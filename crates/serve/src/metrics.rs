@@ -1,10 +1,10 @@
 //! Service instrumentation, rendered as Prometheus text exposition.
 //!
 //! All counters live behind one [`Metrics`] value shared (via `Arc`)
-//! between the acceptor, the worker pool, the engine shards, and the
+//! between the acceptor, the worker pool, the `/jobs` runner, and the
 //! `/metrics` handler. Atomics cover the hot single-value counters; the
 //! per-`(endpoint, status)` request counts, per-endpoint latency
-//! aggregates, and per-shard request counts sit behind short-lived
+//! aggregates, and per-slot engine-run counts sit behind short-lived
 //! poison-recovering mutexes.
 
 use std::collections::BTreeMap;
@@ -202,12 +202,12 @@ impl Metrics {
         self.fastpath_audit_errors.load(Ordering::Relaxed)
     }
 
-    /// Count a `/simulate` request dispatched to engine shard `shard`.
+    /// Count a `/simulate` engine run in engine slot `shard`.
     pub fn observe_shard(&self, shard: usize) {
         *lock(&self.shard_requests).entry(shard).or_insert(0) += 1;
     }
 
-    /// Per-shard dispatch counts (shard index → requests routed there).
+    /// `/simulate` engine runs per engine slot (slot index → runs).
     pub fn shard_requests(&self) -> BTreeMap<usize, u64> {
         lock(&self.shard_requests).clone()
     }
@@ -380,7 +380,7 @@ impl Metrics {
         );
 
         out.push_str(
-            "# HELP dls_serve_shard_requests_total Simulate requests dispatched, by engine shard.\n",
+            "# HELP dls_serve_shard_requests_total Simulate engine runs, by the engine slot that ran them.\n",
         );
         out.push_str("# TYPE dls_serve_shard_requests_total counter\n");
         for (shard, count) in lock(&self.shard_requests).iter() {

@@ -1,5 +1,5 @@
 //! The service itself: acceptor, bounded queue, worker pool, engine
-//! shards, handlers.
+//! slots, handlers.
 //!
 //! Connection flow: a blocking acceptor thread pushes accepted sockets
 //! into a bounded queue guarded by a mutex + condvar. When the queue is at
@@ -19,16 +19,13 @@
 //! the audit after writing the response and before reading the
 //! connection's next request (or closing it).
 //!
-//! `/simulate` execution happens on engine shards, not on HTTP workers:
-//! each decoded request is routed by a stable hash of its scenario
-//! (platform + workload + error model) to one of `shards` dedicated
-//! threads, each owning a warm borrowing [`rumr::ScenarioRunner`].
-//! Same-scenario requests always land on the same shard and reuse its
-//! engine allocations (`run_reusing`), no matter which connection or
-//! worker carried them. Before dispatching, the worker consults the
-//! `/simulate` response cache (canonical request → response body —
-//! sound because responses are byte-deterministic in the canonical
-//! request); hits are served on the spot with `X-Sim-Cache: hit`.
+//! Every engine run happens on the worker that decoded its request: an
+//! engine `/plan`, an audit, and an engine `/simulate`. The last first
+//! consults the `/simulate` response cache (canonical request → response
+//! body — sound because responses are byte-deterministic in the canonical
+//! request), whose hits are served on the spot with `X-Sim-Cache: hit`;
+//! a miss runs inside one of `shards` engine slots, which bound how many
+//! `/simulate` engine runs happen at once.
 
 use std::collections::VecDeque;
 use std::io;
@@ -42,14 +39,14 @@ use dls_experiments::json::{put_int, put_num, put_opt, put_str};
 use rumr::sim::{InvariantFinding, SimError, TraceEvent};
 use rumr::{
     FastPath, FastPathAnswer, FastPathDecision, MetricsSummary, MultiRunResult, Prediction,
-    RepColumns, RobustnessReport, RunError, Scenario, SimResult, SpeedModel, TraceMode,
+    RobustnessReport, RunError, Scenario, SimResult, SpeedModel, TraceMode,
 };
 
 use crate::api::{ApiError, JobsRequest, PlanRequest, SimulateRequest};
 use crate::cache::{CachedPlan, PlanCache, SimCache};
 use crate::http::{self, read_request, ReadError, Request, Response, API_VERSION};
 use crate::metrics::Metrics;
-use crate::shard::{shard_index, Reply, ShardJob, ShardPool};
+use crate::shard::EngineSlots;
 use crate::sync::{lock, wait_timeout};
 
 /// Server tuning knobs.
@@ -68,8 +65,10 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// `/simulate` response cache capacity (entries); 0 disables it.
     pub sim_cache_capacity: usize,
-    /// Engine shards executing `/simulate`; 0 picks one per available
-    /// core (capped at 8).
+    /// Engine slots: how many `/simulate` engine runs may happen at once,
+    /// each on the worker that decoded its request; 0 picks one per
+    /// available core (capped at 8). Engine `/plan` runs and audits do
+    /// not take a slot.
     pub shards: usize,
     /// How long a keep-alive connection may sit idle between requests
     /// before the server closes it.
@@ -78,7 +77,9 @@ pub struct ServerConfig {
     /// runs hitting it get a 422).
     pub max_events: u64,
     /// Artificial per-request delay (test hook for exercising
-    /// backpressure deterministically). 0 in production.
+    /// backpressure deterministically). An engine `/simulate` sleeps it
+    /// inside its engine slot, so it stands in for engine time. 0 in
+    /// production.
     pub handler_delay_ms: u64,
     /// Bound on not-yet-finished `/jobs` submissions; beyond it `POST
     /// /jobs` sheds load with 503s.
@@ -164,7 +165,7 @@ struct Shared {
     metrics: Metrics,
     cache: PlanCache,
     sim_cache: SimCache,
-    shards: ShardPool,
+    slots: EngineSlots,
     config: ServerConfig,
     addr: std::net::SocketAddr,
     jobs: Mutex<JobStore>,
@@ -194,7 +195,6 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shards = config.shards;
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -203,14 +203,14 @@ impl Server {
             metrics: Metrics::new(),
             cache: PlanCache::new(config.cache_capacity),
             sim_cache: SimCache::new(config.sim_cache_capacity),
-            shards: ShardPool::new(shards),
+            slots: EngineSlots::new(config.shards),
             config,
             addr,
             jobs: Mutex::new(JobStore::default()),
             jobs_available: Condvar::new(),
         });
 
-        let mut threads = Vec::with_capacity(workers + shards + 2);
+        let mut threads = Vec::with_capacity(workers + 2);
         {
             let shared = Arc::clone(&shared);
             threads.push(
@@ -225,14 +225,6 @@ impl Server {
                 thread::Builder::new()
                     .name("dls-serve-jobs".into())
                     .spawn(move || jobs_loop(&shared))?,
-            );
-        }
-        for i in 0..shared.shards.len() {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("dls-serve-shard-{i}"))
-                    .spawn(move || shard_loop(&shared, i))?,
             );
         }
         for i in 0..workers {
@@ -257,8 +249,8 @@ impl ServerHandle {
         &self.shared.metrics
     }
 
-    /// Signal shutdown and wait for the acceptor, shards and workers to
-    /// drain queued work and exit.
+    /// Signal shutdown and wait for the acceptor, the `/jobs` runner and
+    /// the workers to drain queued work and exit.
     pub fn shutdown(mut self) {
         self.request_shutdown();
         for t in self.threads.drain(..) {
@@ -272,7 +264,6 @@ impl ServerHandle {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.available.notify_all();
         self.shared.jobs_available.notify_all();
-        self.shared.shards.notify_all();
         wake_acceptor(self.shared.addr);
     }
 
@@ -504,19 +495,6 @@ fn decode<T>(request: &Request, parse: fn(&str) -> Result<T, ApiError>) -> Resul
     parse(body).map_err(|e| Response::error(if e.is_non_finite() { 422 } else { 400 }, &e.0))
 }
 
-/// Manual scenario equality ([`Scenario`] has no `PartialEq`: cost
-/// profiles hold closures). Cost-profile / temporal-noise scenarios never
-/// arrive over the wire, so platform + workload + error model decide.
-fn same_scenario(a: &Scenario, b: &Scenario) -> bool {
-    a.w_total == b.w_total
-        && a.error_model == b.error_model
-        && a.platform.workers() == b.platform.workers()
-        && a.cost_profile.is_none()
-        && b.cost_profile.is_none()
-        && a.temporal_noise.is_none()
-        && b.temporal_noise.is_none()
-}
-
 /// The engine configuration `/simulate` actually runs: metrics on, audit
 /// on, `max_events` clamped to the server cap.
 fn effective_config(shared: &Shared, spec: &rumr::RunSpec) -> rumr::SimConfig {
@@ -546,7 +524,7 @@ fn run_error(error: &RunError) -> Response {
 }
 
 /// `POST /plan`: canonical-key cache lookup, else solve the planner once
-/// on an error-free full-trace run and cache prototype + body.
+/// on an error-free full-trace run and cache the body.
 fn handle_plan(shared: &Shared, request: &Request) -> (Response, Option<After>) {
     test_delay(shared);
     let plan = match decode(request, PlanRequest::from_json_str) {
@@ -610,12 +588,11 @@ fn build_plan(
             let after = FastPath::audit_due(|| key, shared.config.fastpath_audit_pct).then(|| {
                 let spec = rumr::RunSpec::new(plan.kind)
                     .max_events(shared.config.max_events)
-                    .with_prototype(prototype.clone());
+                    .with_prototype(prototype);
                 Box::new(move |shared: &Shared| audit_analytic(shared, &scenario, spec, &answer))
                     as After
             });
             let cached = CachedPlan {
-                prototype,
                 body: Arc::new(body),
                 source: "analytic",
             };
@@ -627,7 +604,7 @@ fn build_plan(
     let spec = rumr::RunSpec::new(plan.kind)
         .trace_mode(TraceMode::Full)
         .max_events(shared.config.max_events)
-        .with_prototype(prototype.clone());
+        .with_prototype(prototype);
     let result = scenario.execute(&spec).map_err(|e| match e {
         RunError::Sim(SimError::EventLimitExceeded) => {
             Response::error(422, "plan simulation exceeded the event limit")
@@ -636,7 +613,6 @@ fn build_plan(
     })?;
     let prediction = oracle.map(|o| o.makespan());
     let cached = CachedPlan {
-        prototype,
         body: Arc::new(plan_body(plan, PlanAnswer::Engine(&result, prediction))),
         source: "engine",
     };
@@ -956,20 +932,19 @@ fn jobs_body(id: usize, spec: &rumr::MultiRunSpec, result: &MultiRunResult) -> S
 }
 
 /// `POST /simulate`: answer eligible runs from the analytic fast path,
-/// else serve from the response cache if possible, else dispatch to the
-/// scenario's engine shard and relay its response. An analytic answer
-/// leaves its sampling decision, and the audit if sampled, for after the
-/// write.
+/// else serve from the response cache if possible, else run the engine
+/// here, inside an engine slot. An analytic answer leaves its sampling
+/// decision, and the audit if sampled, for after the write.
 fn handle_simulate(shared: &Shared, request: &Request) -> (Response, Option<After>) {
     let mut sim = match decode(request, SimulateRequest::from_json_str) {
-        Ok(sim) => Box::new(sim),
+        Ok(sim) => sim,
         Err(response) => return (response, None),
     };
     // Analytic fast path: deterministic model-conforming runs with an
-    // exact oracle skip the cache and the shards entirely. An ineligible
+    // exact oracle skip the cache and the engine entirely. An ineligible
     // run costs only the eligibility checks here; an eligible one solves
     // its planner once, and a run the oracle cannot answer takes that
-    // prototype to the shard. Build errors fall through: the shard
+    // prototype to the engine. Build errors fall through: the engine run
     // produces the identical planner 400 the engine path always has.
     if let Ok((decision, prototype)) =
         FastPath::resolve_planned(&sim.scenario, &sim.spec, sim.spec.kind)
@@ -998,7 +973,7 @@ fn handle_simulate(shared: &Shared, request: &Request) -> (Response, Option<Afte
                     // rendered behind the write, and only at a rate that
                     // depends on it.
                     if FastPath::audit_due(|| sim.canonical(), pct) {
-                        let SimulateRequest { scenario, mut spec } = *sim;
+                        let SimulateRequest { scenario, mut spec } = sim;
                         spec.config = effective_config(shared, &spec);
                         spec.prototype = prototype;
                         audit_analytic(shared, &scenario, spec, &answer);
@@ -1012,9 +987,7 @@ fn handle_simulate(shared: &Shared, request: &Request) -> (Response, Option<Afte
             }
         }
     }
-    // Every key below is composed around this one render of the platform.
-    let keys = sim.keys();
-    let key = (shared.config.sim_cache_capacity > 0).then(|| keys.canonical());
+    let key = (shared.config.sim_cache_capacity > 0).then(|| sim.canonical());
     if let Some(key) = &key {
         if let Some(body) = shared.sim_cache.get(key) {
             shared.metrics.sim_cache_hit();
@@ -1025,21 +998,7 @@ fn handle_simulate(shared: &Shared, request: &Request) -> (Response, Option<Afte
         }
         shared.metrics.sim_cache_miss();
     }
-    let idx = shard_index(&keys.scenario_key(), shared.shards.len());
-    let plan_key = sim.spec.prototype.is_none().then(|| keys.plan_key());
-    shared.metrics.observe_shard(idx);
-    let reply = Arc::new(Reply::default());
-    shared.shards.submit(
-        idx,
-        ShardJob {
-            sim,
-            plan_key,
-            reply: Arc::clone(&reply),
-        },
-    );
-    let Some(mut response) = reply.wait(&shared.shutdown) else {
-        return (Response::error(503, "server is shutting down"), None);
-    };
+    let mut response = simulate_engine(shared, sim);
     if response.status == 200 {
         if let Some(key) = key {
             shared.sim_cache.insert(key, Arc::clone(&response.body));
@@ -1050,67 +1009,24 @@ fn handle_simulate(shared: &Shared, request: &Request) -> (Response, Option<Afte
     (response, None)
 }
 
-/// One engine shard: pops its queue and keeps a warm runner alive across
-/// same-scenario streaks (which, thanks to affinity routing, is every
-/// consecutive pair of jobs that share a scenario).
-fn shard_loop(shared: &Shared, idx: usize) {
-    let mut pending: Option<ShardJob> = None;
-    loop {
-        let job = match pending.take() {
-            Some(j) => j,
-            None => match shared.shards.pop(idx, &shared.shutdown) {
-                Some(j) => j,
-                None => return,
-            },
-        };
-        pending = shard_streak(shared, idx, job);
-    }
-}
-
-/// Execute `job` and then keep pulling this shard's queue while jobs
-/// decode to the same scenario; returns the first non-matching job so the
-/// caller can start a new streak (new runner) around it.
-fn shard_streak(shared: &Shared, idx: usize, job: ShardJob) -> Option<ShardJob> {
-    let scenario = job.sim.scenario.clone();
-    let mut runner = scenario.runner(effective_config(shared, &job.sim.spec));
-    let reply = Arc::clone(&job.reply);
-    reply.set(simulate_on_shard(shared, job, &mut runner));
-    loop {
-        let job = shared.shards.pop(idx, &shared.shutdown)?;
-        if same_scenario(&scenario, &job.sim.scenario) {
-            let reply = Arc::clone(&job.reply);
-            reply.set(simulate_on_shard(shared, job, &mut runner));
-        } else {
-            return Some(job);
-        }
-    }
-}
-
-/// Run one `/simulate` request on the shard's warm runner and produce the
-/// response the HTTP worker will write.
-fn simulate_on_shard(
-    shared: &Shared,
-    job: ShardJob,
-    runner: &mut rumr::ScenarioRunner<'_>,
-) -> Response {
-    // On the shard so it emulates engine time: serialized per shard
-    // (cache hits skip it), parallel across shards and processes.
+/// Run one `/simulate` request's repetition batch through the engine,
+/// inside an engine slot, and produce its response.
+fn simulate_engine(shared: &Shared, sim: SimulateRequest) -> Response {
+    let slot = shared.slots.acquire();
+    shared.metrics.observe_shard(slot.index);
+    // Inside the slot so it stands in for engine time: at most `shards`
+    // delays at once per process (cache hits skip it).
     test_delay(shared);
-    let mut spec = job.sim.spec;
-    // Reuse a cached prototype when /plan has already solved this
-    // (platform, workload, scheduler) triple.
-    if let Some(cached) = job.plan_key.and_then(|key| shared.cache.get(&key)) {
-        spec.prototype = Some(cached.prototype.clone());
-    }
+    let SimulateRequest { scenario, mut spec } = sim;
     spec.config = effective_config(shared, &spec);
-    let cols = match run_reps(runner, &spec) {
+    let cols = match scenario.execute_batch(&spec) {
         Ok(cols) => cols,
         Err(e) => return run_error(&e),
     };
     // Per-run robustness reports when the request revealed speeds: the
     // clairvoyant twins are planned once on the realized platform, which
     // every repetition shares.
-    let robustness: Vec<RobustnessReport> = match runner.scenario().clairvoyant(&spec) {
+    let robustness: Vec<RobustnessReport> = match scenario.clairvoyant(&spec) {
         Some(twins) => spec
             .seeds()
             .zip(cols.makespan.iter())
@@ -1132,20 +1048,6 @@ fn simulate_on_shard(
         200,
         simulate_body(&spec, "engine", cols.mean_makespan(), runs),
     )
-}
-
-/// Execute the spec's whole repetition batch as one arena-backed
-/// column pass on the shard's warm runner: one scheduler prototype solve
-/// and zero per-repetition result allocations, instead of the old
-/// execute-per-seed loop.
-fn run_reps(
-    runner: &mut rumr::ScenarioRunner<'_>,
-    spec: &rumr::RunSpec,
-) -> Result<RepColumns, RunError> {
-    let workers = runner.scenario().platform.num_workers();
-    let mut cols = RepColumns::with_capacity(spec.reps as usize, workers);
-    runner.execute_batch(spec, &mut cols)?;
-    Ok(cols)
 }
 
 /// One `runs` entry of a `/simulate` body. A closed-form row has no chunk

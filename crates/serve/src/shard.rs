@@ -1,142 +1,59 @@
-//! Engine shards: per-core simulation workers with scenario affinity.
+//! Engine slots: the bound on how many `/simulate` engine runs happen at
+//! once.
 //!
-//! `/simulate` execution no longer happens on the HTTP worker that parsed
-//! the request. Instead each decoded request is routed — by a stable hash
-//! of its *scenario* (platform + workload + error model) — to one of N
-//! engine shards, each a dedicated thread owning a warm
-//! [`rumr::ScenarioRunner`]. Same-scenario requests always land on the
-//! same shard, so they run on the same engine allocations regardless of
-//! which connection or HTTP worker carried them; this generalizes the old
-//! per-worker "reuse streak" (which only helped when consecutive requests
-//! on one worker happened to match) into deterministic affinity.
-//!
-//! This module is only the plumbing: per-shard bounded queues and a
-//! one-shot reply slot. The simulation logic lives in
-//! [`crate::server`], which spawns the shard threads.
+//! An engine `/simulate` runs on the HTTP worker that decoded it, inside
+//! one of `shards` slots ([`crate::server::ServerConfig::shards`]). A
+//! slot is an index taken from a free list and handed back when its
+//! [`Slot`] drops, so a worker waits only while every slot is busy, and
+//! `/metrics` counts runs by the slot that ran them.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, PoisonError};
 
-use crate::api::SimulateRequest;
-use crate::http::Response;
-use crate::sync::{lock, wait_timeout};
+use crate::sync::lock;
 
-/// A `/simulate` request in flight to a shard, with the slot its result
-/// must be delivered to.
-pub(crate) struct ShardJob {
-    /// The decoded request.
-    pub sim: Box<SimulateRequest>,
-    /// The request's plan cache key, composed by the HTTP worker; `None`
-    /// when the spec already carries a solved prototype.
-    pub plan_key: Option<String>,
-    /// Where the shard deposits the response.
-    pub reply: std::sync::Arc<Reply>,
+/// The free slot indices, a stack: the slot freed last is lent first
+/// (slot 0, until two runs first overlap).
+pub(crate) struct EngineSlots {
+    free: Mutex<Vec<usize>>,
+    released: Condvar,
 }
 
-/// A one-shot reply slot: the HTTP worker blocks on it while the shard
-/// computes the response.
-#[derive(Default)]
-pub(crate) struct Reply {
-    slot: Mutex<Option<Response>>,
-    ready: Condvar,
-}
-
-impl Reply {
-    /// Deposit the response and wake the waiting worker.
-    pub fn set(&self, response: Response) {
-        *lock(&self.slot) = Some(response);
-        self.ready.notify_all();
-    }
-
-    /// Block until the response arrives. During shutdown, gives an
-    /// in-flight shard a short grace period and then gives up (`None`) so
-    /// a worker never deadlocks on a shard that already exited.
-    pub fn wait(&self, shutdown: &AtomicBool) -> Option<Response> {
-        let mut guard = lock(&self.slot);
-        loop {
-            if let Some(response) = guard.take() {
-                return Some(response);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                guard = wait_timeout(&self.ready, guard, Duration::from_millis(250));
-                return guard.take();
-            }
-            guard = wait_timeout(&self.ready, guard, Duration::from_millis(50));
-        }
-    }
-}
-
-struct ShardQueue {
-    queue: Mutex<VecDeque<ShardJob>>,
-    available: Condvar,
-}
-
-/// The shard queues: one bounded-by-construction FIFO per engine shard.
-/// (The connection queue upstream already bounds in-flight work; shard
-/// queues only ever hold requests whose connections are being served.)
-pub(crate) struct ShardPool {
-    shards: Vec<ShardQueue>,
-}
-
-impl ShardPool {
-    /// A pool of `n` shard queues (`n >= 1`).
+impl EngineSlots {
+    /// `n` slots (at least one).
     pub fn new(n: usize) -> Self {
-        ShardPool {
-            shards: (0..n.max(1))
-                .map(|_| ShardQueue {
-                    queue: Mutex::new(VecDeque::new()),
-                    available: Condvar::new(),
-                })
-                .collect(),
+        EngineSlots {
+            free: Mutex::new((0..n.max(1)).rev().collect()),
+            released: Condvar::new(),
         }
     }
 
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Enqueue a job on shard `idx` and wake its thread.
-    pub fn submit(&self, idx: usize, job: ShardJob) {
-        let shard = &self.shards[idx];
-        lock(&shard.queue).push_back(job);
-        shard.available.notify_all();
-    }
-
-    /// Pop the next job for shard `idx`, blocking until one arrives.
-    /// Returns `None` only when shutdown is signalled *and* the queue is
-    /// drained — queued jobs always get answered.
-    pub fn pop(&self, idx: usize, shutdown: &AtomicBool) -> Option<ShardJob> {
-        let shard = &self.shards[idx];
-        let mut queue = lock(&shard.queue);
+    /// Take a free slot, waiting while every slot is busy.
+    pub fn acquire(&self) -> Slot<'_> {
+        let mut free = lock(&self.free);
         loop {
-            if let Some(job) = queue.pop_front() {
-                return Some(job);
+            if let Some(index) = free.pop() {
+                return Slot { slots: self, index };
             }
-            if shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            queue = wait_timeout(&shard.available, queue, Duration::from_millis(50));
-        }
-    }
-
-    /// Wake every shard thread (shutdown path).
-    pub fn notify_all(&self) {
-        for shard in &self.shards {
-            shard.available.notify_all();
+            free = self
+                .released
+                .wait(free)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-/// The shard a scenario key routes to: a stable function of the key only,
-/// so every worker sends the same scenario to the same shard.
-pub(crate) fn shard_index(key: &str, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
+/// A taken slot; dropping it frees the slot and wakes one waiter.
+pub(crate) struct Slot<'a> {
+    slots: &'a EngineSlots,
+    /// The slot's index, in `0..shards`.
+    pub index: usize,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        lock(&self.slots.free).push(self.index);
+        self.slots.released.notify_one();
     }
-    (rumr::fnv1a(key.as_bytes()) % shards as u64) as usize
 }
 
 #[cfg(test)]
@@ -144,21 +61,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_index_is_stable_and_in_range() {
-        for shards in 1..8 {
-            for key in ["a", "b", "scenario-key", ""] {
-                let idx = shard_index(key, shards);
-                assert!(idx < shards);
-                assert_eq!(idx, shard_index(key, shards), "routing must be stable");
-            }
-        }
-        // Distinct keys spread across shards (not all on one).
-        let hits: std::collections::BTreeSet<usize> = (0..64)
-            .map(|i| shard_index(&format!("key-{i}"), 4))
-            .collect();
-        assert!(
-            hits.len() > 1,
-            "64 keys should hit more than one of 4 shards"
-        );
+    fn slots_are_returned_on_drop_and_lent_last_freed_first() {
+        let slots = EngineSlots::new(2);
+        let first = slots.acquire();
+        let second = slots.acquire();
+        assert_eq!((first.index, second.index), (0, 1));
+        drop(second);
+        drop(first);
+        assert_eq!(slots.acquire().index, 0);
+        assert_eq!(slots.acquire().index, 0, "a dropped slot is free again");
+        assert_eq!(EngineSlots::new(0).acquire().index, 0, "at least one slot");
     }
 }

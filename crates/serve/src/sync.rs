@@ -1,7 +1,7 @@
 //! Poison-recovering lock helpers.
 //!
 //! Every shared mutex in the service (connection queue, job table, caches,
-//! metrics maps, shard queues) is locked through these helpers instead of
+//! metrics maps, engine slots) is locked through these helpers instead of
 //! `.lock().unwrap()`. A worker that panics while holding a lock poisons
 //! it; with bare `unwrap()` the next locker panics too, and the cascade
 //! takes down the acceptor and every other worker. The service's shared

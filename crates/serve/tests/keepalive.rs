@@ -1,14 +1,16 @@
-//! Keep-alive, pipelining, response-cache and shard-affinity tests
+//! Keep-alive, pipelining, response-cache, engine-slot and shutdown tests
 //! against a real listening server.
 //!
 //! The load-bearing contract: a response's *body* is byte-identical
 //! whether the request arrived on a fresh connection, a reused keep-alive
 //! connection, or pipelined behind another request — and whether it was
-//! computed by an engine shard or served from the response cache.
+//! computed by the engine or served from the response cache.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use dls_serve::{Server, ServerConfig};
 
@@ -362,41 +364,90 @@ fn retired_queue_key_is_ignored() {
 }
 
 #[test]
-fn same_scenario_requests_route_to_one_shard() {
-    // Cache off so every request actually reaches a shard; 4 shards so a
-    // spread would be visible.
+fn engine_slots_bound_concurrent_simulate_runs() {
+    // The handler delay stands in for engine time inside a slot: with one
+    // slot, two engine runs sent at once on two connections take turns;
+    // with two slots they overlap. Cache off, so both reach the engine.
+    const DELAY: Duration = Duration::from_millis(400);
+    for (shards, by_slot) in [(1, vec![(0, 2)]), (2, vec![(0, 1), (1, 1)])] {
+        let server = Server::start(ServerConfig {
+            sim_cache_capacity: 0,
+            shards,
+            handler_delay_ms: DELAY.as_millis() as u64,
+            ..config()
+        })
+        .expect("server binds");
+        let addr = server.addr;
+        let both_connected = Arc::new(Barrier::new(3));
+        let clients: Vec<_> = (0..2)
+            .map(|seed| {
+                let body = SIMULATE.replace("\"seed\": 7", &format!("\"seed\": {seed}"));
+                let both_connected = Arc::clone(&both_connected);
+                thread::spawn(move || {
+                    let mut stream = connect(addr);
+                    both_connected.wait();
+                    send(&mut stream, "POST", "/simulate", &body, true);
+                    read_framed(&mut stream, &mut Vec::new()).0
+                })
+            })
+            .collect();
+        both_connected.wait();
+        let start = Instant::now();
+        for client in clients {
+            assert_eq!(client.join().unwrap(), 200);
+        }
+        let elapsed = start.elapsed();
+        if shards == 1 {
+            assert!(
+                elapsed >= 2 * DELAY,
+                "one slot ran two at once: {elapsed:?}"
+            );
+        } else {
+            assert!(elapsed < 2 * DELAY, "two slots took turns: {elapsed:?}");
+        }
+        let runs = server.metrics().shard_requests();
+        assert_eq!(
+            runs.into_iter().collect::<Vec<_>>(),
+            by_slot,
+            "{shards} slots"
+        );
+        let (_, _, metrics) = close_request(addr, "GET", "/metrics", "");
+        for (slot, runs) in by_slot {
+            let line = format!("dls_serve_shard_requests_total{{shard=\"{slot}\"}} {runs}");
+            assert!(metrics.contains(&line), "{metrics}");
+        }
+        server.shutdown();
+    }
+}
+
+#[test]
+fn a_run_in_flight_at_shutdown_is_answered_with_connection_close() {
+    // The request asked to keep the connection; shutdown starts once its
+    // engine run holds a slot, while it sleeps in the handler delay. The
+    // run finishes, and its answer is the connection's last.
     let server = Server::start(ServerConfig {
         sim_cache_capacity: 0,
-        shards: 4,
+        handler_delay_ms: 600,
         ..config()
     })
     .expect("server binds");
-    let addr = server.addr;
-
-    // Five same-scenario requests (different seeds — affinity is by
-    // scenario, not by run spec) from five different connections.
-    for seed in 0..5 {
-        let body = SIMULATE.replace("\"seed\": 7", &format!("\"seed\": {seed}"));
-        let (status, _, response) = close_request(addr, "POST", "/simulate", &body);
-        assert_eq!(status, 200, "{response}");
+    let mut stream = connect(server.addr);
+    send(&mut stream, "POST", "/simulate", SIMULATE, false);
+    while server.metrics().shard_requests().is_empty() {
+        thread::sleep(Duration::from_millis(5));
     }
-    let by_shard = server.metrics().shard_requests();
-    assert_eq!(
-        by_shard.len(),
-        1,
-        "same scenario must always route to one shard: {by_shard:?}"
-    );
-    assert_eq!(by_shard.values().sum::<u64>(), 5);
-
-    let (_, _, metrics) = close_request(addr, "GET", "/metrics", "");
-    let shard = by_shard.keys().next().unwrap();
+    server.request_shutdown();
+    let mut carry = Vec::new();
+    let (status, head, body) = read_framed(&mut stream, &mut carry);
+    assert_eq!(status, 200, "{body}");
+    assert!(head.contains("Connection: close"), "head: {head}");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
     assert!(
-        metrics.contains(&format!(
-            "dls_serve_shard_requests_total{{shard=\"{shard}\"}} 5"
-        )),
-        "{metrics}"
+        carry.is_empty() && rest.is_empty(),
+        "bytes after the last answer"
     );
-    server.shutdown();
+    server.join();
 }
 
 #[test]

@@ -36,10 +36,22 @@ fn request(
     path: &str,
     body: &str,
 ) -> (u16, String, String) {
+    request_within(addr, method, path, body, Duration::from_secs(30))
+        .unwrap_or_else(|| panic!("{method} {path}: no answer within 30 s"))
+}
+
+/// One close-per-request exchange on a fresh connection: status, head
+/// and body, or `None` when the whole answer does not arrive within
+/// `deadline`.
+fn request_within(
+    addr: std::net::SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+    deadline: Duration,
+) -> Option<(u16, String, String)> {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    stream.set_read_timeout(Some(deadline)).unwrap();
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
@@ -47,7 +59,7 @@ fn request(
     stream.write_all(head.as_bytes()).unwrap();
     stream.write_all(body.as_bytes()).unwrap();
     let mut response = Vec::new();
-    stream.read_to_end(&mut response).unwrap();
+    stream.read_to_end(&mut response).ok()?;
     let text = String::from_utf8(response).expect("utf8 response");
     let status: u16 = text
         .split_whitespace()
@@ -55,7 +67,7 @@ fn request(
         .and_then(|s| s.parse().ok())
         .expect("status line");
     let (head, body) = text.split_once("\r\n\r\n").expect("blank line");
-    (status, head.to_string(), body.to_string())
+    Some((status, head.to_string(), body.to_string()))
 }
 
 const PLAN: &str = r#"{"platform": {"homogeneous": {"n": 8, "ratio": 1.5,
@@ -310,6 +322,139 @@ fn non_finite_numbers_map_to_422() {
     assert_eq!(status, 400);
     let (status, _, _) = request(server.addr, "POST", "/plan", "{not json");
     assert_eq!(status, 400);
+    server.shutdown();
+}
+
+/// Engine configurations the engine would refuse with a panic when it
+/// builds the run: each must be a 400 at decode time.
+const CONFIG_BREAKERS: [(&str, &str); 5] = [
+    ("zero send slots", r#"{"max_concurrent_sends": 0}"#),
+    ("negative output ratio", r#"{"output_ratio": -1}"#),
+    (
+        "negative uplink capacity",
+        r#"{"max_concurrent_sends": 2, "uplink_capacity": -1}"#,
+    ),
+    (
+        "negative mttr",
+        r#"{"faults": {"kind": "poisson", "mttf": 50, "horizon": 500, "mttr": -1}}"#,
+    ),
+    (
+        "zero link mtbf",
+        r#"{"faults": {"kind": "poisson", "mttf": 50, "horizon": 500, "link_mtbf": 0}}"#,
+    ),
+];
+
+/// Recovery policies the recovery wrapper would refuse with a panic when
+/// it builds the run: each must be a 400 at decode time.
+const RECOVERY_BREAKERS: [(&str, &str); 4] = [
+    ("recovery factor of 0.5", r#"{"factor": 0.5}"#),
+    ("zero recovery min_chunk", r#"{"min_chunk": 0}"#),
+    ("negative recovery backoff", r#"{"initial_backoff": -1}"#),
+    (
+        "recovery backoff factor of 0.5",
+        r#"{"backoff_factor": 0.5}"#,
+    ),
+];
+
+/// A normal engine `/simulate` (seed `seed`) on a fresh connection must be
+/// answered 200 within a few seconds.
+fn assert_engine_answers(addr: std::net::SocketAddr, seed: usize, after: &str) {
+    let body = SIMULATE.replace("\"seed\": 7", &format!("\"seed\": {seed}"));
+    let answer = request_within(addr, "POST", "/simulate", &body, Duration::from_secs(5));
+    let (status, _, response) =
+        answer.unwrap_or_else(|| panic!("after {after}: no engine answer within 5 s"));
+    assert_eq!(status, 200, "after {after}: {response}");
+}
+
+#[test]
+fn simulate_bodies_breaking_engine_rules_get_400_and_the_engine_keeps_serving() {
+    // One engine slot: a body that took the engine down would stop every
+    // engine run after it.
+    let server = start(ServerConfig {
+        shards: 1,
+        ..quiet_config()
+    });
+    let run = |fragment: String| {
+        let body = SIMULATE.replace("\"reps\": 2}", &format!("\"reps\": 2, {fragment}}}"));
+        ("/simulate", body)
+    };
+    let configs = CONFIG_BREAKERS.map(|(name, c)| (name, run(format!(r#""config": {c}"#))));
+    let recoveries = RECOVERY_BREAKERS.map(|(name, r)| (name, run(format!(r#""recovery": {r}"#))));
+    // A RUMR factor of 1 or less, which its factoring phase would refuse
+    // with a panic, on either endpoint.
+    let (rumr, slow_rumr) = (r#""kind": "rumr""#, r#""kind": "rumr", "factor": 0.5"#);
+    let others = [
+        (
+            "negative error",
+            (
+                "/simulate",
+                SIMULATE.replace(r#""error": 0.3"#, r#""error": -1"#),
+            ),
+        ),
+        (
+            "RUMR factor of 0.5",
+            ("/simulate", SIMULATE.replace(rumr, slow_rumr)),
+        ),
+        (
+            "RUMR factor of 0.5 on /plan",
+            ("/plan", PLAN.replace(r#""kind": "umr""#, slow_rumr)),
+        ),
+    ];
+    let rows = configs.into_iter().chain(recoveries).chain(others);
+    for (seed, (name, (path, body))) in rows.enumerate() {
+        assert!(body != SIMULATE && body != PLAN, "{name}");
+        let answer = request_within(server.addr, "POST", path, &body, Duration::from_secs(5));
+        let (status, _, response) =
+            answer.unwrap_or_else(|| panic!("{name}: no answer within 5 s"));
+        assert_eq!(status, 400, "{name}: {response}");
+        assert_engine_answers(server.addr, seed, name);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn jobs_bodies_breaking_engine_rules_get_400_and_jobs_keep_running() {
+    // `/jobs` already refuses every send-slot count but 1, so its uplink
+    // row keeps the default count. Recovery policies go on a job.
+    let configs = [
+        CONFIG_BREAKERS[1],
+        ("negative uplink capacity", r#"{"uplink_capacity": -1}"#),
+        CONFIG_BREAKERS[3],
+        CONFIG_BREAKERS[4],
+    ]
+    .map(|(name, c)| {
+        (
+            name,
+            JOBS.replace("\"seed\": 5,", &format!(r#""seed": 5, "config": {c},"#)),
+        )
+    });
+    let scheduler = r#""scheduler": {"kind": "factoring"}"#;
+    let recoveries = RECOVERY_BREAKERS.map(|(name, r)| {
+        let recovering = format!(r#"{scheduler}, "recovery": {r}"#);
+        (name, JOBS.replacen(scheduler, &recovering, 1))
+    });
+    let noise = r#""seed": 5, "error_model": {"kind": "normal", "error": -1},"#;
+    let negative_error = ("negative error", JOBS.replace("\"seed\": 5,", noise));
+    let server = start(quiet_config());
+    let rows = configs
+        .into_iter()
+        .chain(recoveries)
+        .chain([negative_error]);
+    for (seed, (name, body)) in rows.enumerate() {
+        assert_ne!(body, JOBS, "{name}");
+        let (status, _, response) = request(server.addr, "POST", "/jobs", &body);
+        assert_eq!(status, 400, "{name}: {response}");
+        assert_engine_answers(server.addr, seed, name);
+    }
+    // The runner thread still finishes a good job set.
+    let (status, _, _) = request(server.addr, "POST", "/jobs", JOBS);
+    assert_eq!(status, 202);
+    let done = (0..400).any(|_| {
+        std::thread::sleep(Duration::from_millis(25));
+        let (_, _, body) = request(server.addr, "GET", "/jobs/0", "");
+        body.contains("\"status\":\"done\"")
+    });
+    assert!(done, "the job runner never finished a good job set");
     server.shutdown();
 }
 

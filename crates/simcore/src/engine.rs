@@ -158,6 +158,35 @@ impl SimConfig {
             ..Default::default()
         }
     }
+
+    /// Check every rule the engine holds a configuration to: at least one
+    /// send slot, a finite positive uplink capacity, a finite non-negative
+    /// output ratio, and valid Poisson-fault and speed-model parameters
+    /// ([`PoissonFaults::validate`](crate::PoissonFaults::validate),
+    /// [`SpeedModel::validate`]). [`Engine::new`] panics with this message;
+    /// a caller holding outside input checks it first.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the configuration breaks, as a message.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_concurrent_sends == 0 {
+            return Err("need at least one send slot".into());
+        }
+        if !self
+            .uplink_capacity
+            .is_none_or(|c| c.is_finite() && c > 0.0)
+        {
+            return Err("uplink capacity must be positive".into());
+        }
+        if !(self.output_ratio.is_finite() && self.output_ratio >= 0.0) {
+            return Err("output ratio must be non-negative".into());
+        }
+        if let FaultModel::Poisson(p) = &self.faults {
+            p.validate()?;
+        }
+        self.speeds.validate()
+    }
 }
 
 /// Why a simulation could not complete.
@@ -475,20 +504,10 @@ impl<'a> Engine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.max_concurrent_sends == 0` or the uplink capacity
-    /// is non-positive.
+    /// Panics with [`SimConfig::validate`]'s message if `config` breaks
+    /// one of its rules.
     pub fn new(platform: &'a Platform, injector: ErrorInjector, config: SimConfig) -> Self {
-        assert!(
-            config.max_concurrent_sends >= 1,
-            "need at least one send slot"
-        );
-        if let Some(c) = config.uplink_capacity {
-            assert!(c.is_finite() && c > 0.0, "uplink capacity must be positive");
-        }
-        assert!(
-            config.output_ratio.is_finite() && config.output_ratio >= 0.0,
-            "output ratio must be non-negative"
-        );
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let n = platform.num_workers();
         let fault_injector = FaultInjector::new(&config.faults, n);
         let fault_mode = config.faults.is_active();

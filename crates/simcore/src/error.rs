@@ -95,6 +95,23 @@ impl ErrorModel {
             | ErrorModel::Uniform { error } => error,
         }
     }
+
+    /// Check the model: its `error` is finite and non-negative.
+    /// [`ErrorInjector::new`] panics with this message.
+    ///
+    /// # Errors
+    ///
+    /// The message for an `error` out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let error = self.magnitude();
+        if error.is_finite() && error >= 0.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "error must be finite and non-negative, got {error}"
+            ))
+        }
+    }
 }
 
 enum Sampler {
@@ -153,8 +170,10 @@ impl ErrorInjector {
     ///
     /// # Panics
     ///
-    /// Panics if the model's `error` is negative or non-finite.
+    /// Panics with [`ErrorModel::validate`]'s message if the model's
+    /// `error` is negative or non-finite.
     pub fn new(model: ErrorModel, seed: u64) -> Self {
+        model.validate().unwrap_or_else(|e| panic!("{e}"));
         let sampler = if model.magnitude() == 0.0 {
             Sampler::None(NoError)
         } else {

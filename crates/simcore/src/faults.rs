@@ -120,8 +120,9 @@ pub struct PoissonFaults {
     /// Mean time between transient link drops per worker (s); `None`
     /// disables link faults.
     pub link_mtbf: Option<f64>,
-    /// Generation horizon (s): no fault is generated past this time. Pick
-    /// comfortably above the expected makespan.
+    /// Generation horizon (s): no fault is generated past this time. Must
+    /// be finite and positive; pick it comfortably above the expected
+    /// makespan.
     pub horizon: f64,
     /// RNG seed for the fault processes (independent of the error seed).
     pub seed: u64,
@@ -150,28 +151,35 @@ impl PoissonFaults {
         }
     }
 
+    /// Check the parameters: `mttf` and `horizon` finite and positive, and
+    /// `mttr` and `link_mtbf`, where set, finite and positive too.
+    ///
+    /// # Errors
+    ///
+    /// The first parameter out of range, as a message.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        for (name, x) in [
+            ("mttf", Some(self.mttf)),
+            ("horizon", Some(self.horizon)),
+            ("mttr", self.mttr),
+            ("link_mtbf", self.link_mtbf),
+        ] {
+            if !x.is_none_or(positive) {
+                return Err(format!("{name} must be finite and positive"));
+            }
+        }
+        Ok(())
+    }
+
     /// Materialize the fault sequence for `num_workers` workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Self::validate`]'s message on a parameter out of
+    /// range.
     fn generate(&self, num_workers: usize) -> Vec<FaultEvent> {
-        assert!(
-            self.mttf.is_finite() && self.mttf > 0.0,
-            "mttf must be finite and positive"
-        );
-        assert!(
-            self.horizon.is_finite() && self.horizon >= 0.0,
-            "horizon must be finite and non-negative"
-        );
-        if let Some(mttr) = self.mttr {
-            assert!(
-                mttr.is_finite() && mttr > 0.0,
-                "mttr must be finite and positive"
-            );
-        }
-        if let Some(mtbf) = self.link_mtbf {
-            assert!(
-                mtbf.is_finite() && mtbf > 0.0,
-                "link_mtbf must be finite and positive"
-            );
-        }
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut events = Vec::new();
         for w in 0..num_workers {
             // One independent stream per (worker, process); the SplitMix-style

@@ -89,30 +89,40 @@ impl SpeedModel {
         !matches!(self, SpeedModel::Declared)
     }
 
-    /// Panic with a descriptive message on out-of-range parameters.
-    /// Called by [`crate::Engine::new`] so a bad model fails loudly at
-    /// construction, mirroring the fault-model asserts.
-    pub fn validate(&self) {
+    /// Check the parameters: `spread` in `[0, 1)`, `fraction` in
+    /// `[0, 1]`, `slowdown` finite and at least 1.
+    /// [`crate::Engine::new`] (through [`crate::SimConfig::validate`]) and
+    /// [`Self::realize`] panic with this message; the CLI parser refuses
+    /// the model.
+    ///
+    /// # Errors
+    ///
+    /// The first parameter out of range, as a message.
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
-            SpeedModel::Declared => {}
+            SpeedModel::Declared => Ok(()),
             SpeedModel::Stochastic { spread, .. } => {
-                assert!(
-                    spread.is_finite() && (0.0..1.0).contains(&spread),
-                    "stochastic speed spread must lie in [0, 1), got {spread}"
-                );
+                if spread.is_finite() && (0.0..1.0).contains(&spread) {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "stochastic speed spread must lie in [0, 1), got {spread}"
+                    ))
+                }
             }
             SpeedModel::Sandbagged {
                 fraction, slowdown, ..
             }
             | SpeedModel::Adversarial { fraction, slowdown } => {
-                assert!(
-                    fraction.is_finite() && (0.0..=1.0).contains(&fraction),
-                    "speed-model fraction must lie in [0, 1], got {fraction}"
-                );
-                assert!(
-                    slowdown.is_finite() && slowdown >= 1.0,
-                    "speed-model slowdown must be >= 1, got {slowdown}"
-                );
+                if !(fraction.is_finite() && (0.0..=1.0).contains(&fraction)) {
+                    Err(format!(
+                        "speed-model fraction must lie in [0, 1], got {fraction}"
+                    ))
+                } else if !(slowdown.is_finite() && slowdown >= 1.0) {
+                    Err(format!("speed-model slowdown must be >= 1, got {slowdown}"))
+                } else {
+                    Ok(())
+                }
             }
         }
     }
@@ -122,8 +132,13 @@ impl SpeedModel {
     /// Deterministic: the same model over the same platform always reveals
     /// the same machine. Returns `None` for [`SpeedModel::Declared`] so
     /// the engine can gate on `Option` exactly like the fault injector.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Self::validate`]'s message on a parameter out of
+    /// range.
     pub fn realize(&self, workers: &[WorkerSpec]) -> Option<RealizedSpeeds> {
-        self.validate();
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         let n = workers.len();
         match *self {
             SpeedModel::Declared => None,
@@ -267,22 +282,7 @@ impl SpeedModel {
         };
         // Reject out-of-range parameters here (Option, not panic): CLI
         // input is untrusted.
-        let ok = match model {
-            SpeedModel::Declared => true,
-            SpeedModel::Stochastic { spread, .. } => {
-                spread.is_finite() && (0.0..1.0).contains(&spread)
-            }
-            SpeedModel::Sandbagged {
-                fraction, slowdown, ..
-            }
-            | SpeedModel::Adversarial { fraction, slowdown } => {
-                fraction.is_finite()
-                    && (0.0..=1.0).contains(&fraction)
-                    && slowdown.is_finite()
-                    && slowdown >= 1.0
-            }
-        };
-        ok.then_some(model)
+        model.validate().is_ok().then_some(model)
     }
 }
 

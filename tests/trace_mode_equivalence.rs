@@ -235,10 +235,10 @@ fn runner_and_prototype_match_fresh_runs() {
 }
 
 /// The event queue's storage must reach a fixed point under
-/// `reset`/`run_reusing`: after a warm-up rep sizes the buckets, 100
-/// further repetitions of the same scenario may not grow them.
+/// `reset`/`run_reusing`: after warm-up reps size the heap, 100 further
+/// repetitions of the same scenario may not grow it.
 #[test]
-fn calendar_reset_reuse_does_not_grow() {
+fn event_queue_reset_reuse_does_not_grow() {
     let scenario = Scenario::table1(20, 1.6, 0.3, 0.2, 0.3);
     let kind = SchedulerKind::rumr_known_error(0.3);
     let cfg = SimConfig {
@@ -257,19 +257,19 @@ fn calendar_reset_reuse_does_not_grow() {
         .config(cfg)
         .recovering(RecoveryConfig::default())
         .with_prototype(proto);
-    // Warm-up: the first runs size the buckets, and the width retune on
-    // `clear` reaches its fixed point by the second repetition.
+    // Warm-up: the first runs grow the heap to the run's peak depth, and
+    // `reset` keeps that capacity.
     for _ in 0..3 {
         runner.execute_at(&spec, 7).unwrap();
     }
     let warm = runner.debug_queue_capacity();
-    assert!(warm > 0, "probe must report calendar storage");
+    assert!(warm > 0, "probe must report event-queue storage");
     for rep in 0..100 {
         runner.execute_at(&spec, 7).unwrap();
         assert_eq!(
             runner.debug_queue_capacity(),
             warm,
-            "bucket storage grew at rep {rep}"
+            "event-queue storage grew at rep {rep}"
         );
     }
 }
