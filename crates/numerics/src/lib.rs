@@ -5,9 +5,6 @@
 //! * **Root finding** ([`roots`]): the UMR round-count optimization is a
 //!   one-dimensional root-finding problem ("solved numerically by bisection"
 //!   in the paper). We provide bisection and Brent's method.
-//! * **Dense linear algebra** ([`linalg`]): the multi-installment (MI-x)
-//!   baseline requires solving an `xN × xN` linear system encoding its
-//!   no-idle / equal-finish conditions. We provide LU with partial pivoting.
 //! * **Distributions** ([`dist`]): the paper's prediction-error model is a
 //!   truncated normal on the predicted/effective-time ratio. `rand` only
 //!   gives us uniform bits, so Box–Muller normal sampling, truncation, and a
@@ -25,13 +22,11 @@
 #![forbid(unsafe_code)]
 
 pub mod dist;
-pub mod linalg;
 pub mod rng;
 pub mod roots;
 pub mod stats;
 
 pub use dist::{MatchedUniform, NoError, Normal, Perturbation, TruncatedNormal};
-pub use linalg::{LinAlgError, Lu, Matrix};
 pub use rng::{seed_for, SeedDeriver};
 pub use roots::{bisect, brent, RootError};
 pub use stats::{quantile, OnlineStats, Summary};

@@ -21,14 +21,20 @@
 //!
 //! 3. **the chunks cover the workload**: `Σ c(j,i) = W`.
 //!
-//! That is an `xN × xN` dense linear system, solved here with the in-house
-//! LU decomposition. Unlike UMR, MI offers no principled way to choose `x`
-//! (a limitation the paper stresses), so the evaluation instantiates
-//! MI-1 … MI-4. Because MI plans with zero latencies but executes on a
-//! platform that has them, its simulated makespan degrades as `nLat`/`cLat`
-//! grow — exactly the effect the paper reports.
+//! Conditions 1 and 2 are homogeneous, and each fixes one chunk from chunks
+//! already known, so the `xN × xN` system solves by back-substitution in
+//! O(x·N). Set `c(x−1,N−1) = 1`; the last installment is geometric,
+//! `c(x−1,i) = c(x−1,i+1)·(1 + S/B)`; then, one installment back at a time
+//! and from the last worker to the first,
+//! `c(j,i) = (S/B)·[Σ_{k>i} c(j,k) + Σ_{k≤i} c(j+1,k)]`, the first sum a
+//! running suffix of installment `j` and the second a prefix sum of
+//! installment `j+1`. Condition 3 scales the result to `W`. Every term is
+//! positive, so nothing cancels. Unlike UMR, MI offers no principled way to
+//! choose `x` (a limitation the paper stresses), so the evaluation
+//! instantiates MI-1 … MI-4. Because MI plans with zero latencies but
+//! executes on a platform that has them, its simulated makespan degrades as
+//! `nLat`/`cLat` grow — exactly the effect the paper reports.
 
-use dls_numerics::linalg::{LinAlgError, Matrix};
 use dls_sim::{Decision, Platform, Scheduler, SimView};
 
 use crate::plan::{DispatchPlan, PlanReplayer};
@@ -45,8 +51,11 @@ pub enum MiError {
     },
     /// `x` must be at least 1.
     ZeroInstallments,
-    /// The no-idle system is singular or produced non-positive chunks; the
-    /// requested installment count is infeasible on this platform.
+    /// Some chunk of the exact MI-`x` plan, scaled to the workload, lies
+    /// outside f64's normal range (it overflows, or is subnormal or zero).
+    /// MI's model bounds neither `x` nor the spread of its chunks, so this
+    /// is the planner's only refusal of a valid input; fewer installments
+    /// are never substituted.
     Infeasible {
         /// The installment count that failed.
         installments: usize,
@@ -68,10 +77,111 @@ impl std::fmt::Display for MiError {
 
 impl std::error::Error for MiError {}
 
-impl From<LinAlgError> for MiError {
-    fn from(_: LinAlgError) -> Self {
-        MiError::Infeasible { installments: 0 }
+/// A positive number `m·2^e` with `m` in [1, 2): f64's significand and
+/// rounding under an exponent that cannot overflow. Before they are scaled
+/// to `W`, MI's chunks can span more than f64's range, so the walk runs in
+/// this type; while its values stay in range it rounds bit for bit as f64.
+#[derive(Debug, Clone, Copy)]
+struct Wide {
+    m: f64,
+    e: i64,
+}
+
+const SIGNIFICAND: u64 = (1 << 52) - 1;
+
+/// Two normal f64 values differ by less than this power of two.
+const NORMAL_SPAN: i64 = 2046;
+
+impl Wide {
+    /// `v·2^e`, for finite `v > 0`.
+    fn new(v: f64, e: i64) -> Wide {
+        let (v, e) = if v.is_normal() {
+            (v, e)
+        } else {
+            (v * 2f64.powi(64), e - 64)
+        };
+        let bits = v.to_bits();
+        Wide {
+            m: f64::from_bits(bits & SIGNIFICAND | 1f64.to_bits()),
+            e: e + (bits >> 52) as i64 - 1023,
+        }
     }
+
+    fn add(self, other: Wide) -> Wide {
+        let (hi, lo) = if self.e >= other.e {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        // Shifted more than 60 places, `lo` is below half an ulp of `hi`.
+        let shift = hi.e - lo.e;
+        let lo_m = if shift > 60 {
+            0.0
+        } else {
+            lo.m * f64::from_bits(((1023 - shift) as u64) << 52)
+        };
+        Wide::new(hi.m + lo_m, hi.e)
+    }
+
+    fn mul(self, other: Wide) -> Wide {
+        Wide::new(self.m * other.m, self.e + other.e)
+    }
+
+    fn div(self, other: Wide) -> Wide {
+        Wide::new(self.m / other.m, self.e - other.e)
+    }
+
+    /// The value as an f64, if that is a normal number.
+    fn normal(self) -> Option<f64> {
+        (-1022..=1023).contains(&self.e).then(|| {
+            f64::from_bits(self.m.to_bits() & SIGNIFICAND | ((self.e + 1023) as u64) << 52)
+        })
+    }
+}
+
+/// Walk MI's conditions back from `c(x−1, N−1) = 1` (module doc), handing
+/// each installment to `emit`, the last one first, and return the sum of
+/// all chunks. `None` once two chunks differ by more than f64's normal
+/// range, which no scaling can bring into it, or when `emit` refuses.
+fn walk(
+    n: usize,
+    x: usize,
+    s_over_b: Wide,
+    mut emit: impl FnMut(usize, &[Wide]) -> Option<()>,
+) -> Option<Wide> {
+    let one = Wide::new(1.0, 0);
+    let grow = one.add(s_over_b);
+    let mut chunks = vec![one; n];
+    for i in (0..n - 1).rev() {
+        chunks[i] = chunks[i + 1].mul(grow);
+    }
+    let mut prefix = chunks.clone();
+    let mut total: Option<Wide> = None;
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for j in (0..x).rev() {
+        if j + 1 < x {
+            chunks[n - 1] = s_over_b.mul(prefix[n - 1]);
+            let mut suffix = chunks[n - 1];
+            for i in (0..n - 1).rev() {
+                chunks[i] = s_over_b.mul(suffix.add(prefix[i]));
+                suffix = suffix.add(chunks[i]);
+            }
+        }
+        for c in &chunks {
+            lo = lo.min(c.e);
+            hi = hi.max(c.e);
+        }
+        if hi - lo > NORMAL_SPAN {
+            return None;
+        }
+        emit(j, &chunks)?;
+        prefix[0] = chunks[0];
+        for i in 1..n {
+            prefix[i] = prefix[i - 1].add(chunks[i]);
+        }
+        total = Some(total.map_or(prefix[n - 1], |t| t.add(prefix[n - 1])));
+    }
+    total
 }
 
 /// A solved multi-installment schedule.
@@ -85,12 +195,13 @@ pub struct MiSchedule {
 }
 
 impl MiSchedule {
-    /// Plan MI-`x` for a homogeneous platform.
+    /// Plan MI-`x` for a homogeneous platform by back-substitution (module
+    /// doc): O(x·N) time, and at most `8·x·N` bytes for the chunks.
     ///
     /// # Errors
     ///
-    /// See [`MiError`]; in particular [`MiError::Infeasible`] when the
-    /// no-idle conditions force non-positive chunks.
+    /// See [`MiError`]; in particular [`MiError::Infeasible`] when some
+    /// chunk of the exact plan is not a normal f64.
     pub fn solve(platform: &Platform, w_total: f64, installments: usize) -> Result<Self, MiError> {
         if !platform.is_homogeneous() {
             return Err(MiError::NotHomogeneous);
@@ -105,54 +216,22 @@ impl MiSchedule {
         let s = platform.worker(0).speed;
         let b = platform.worker(0).bandwidth;
         let x = installments;
-        let dim = x * n;
-        let idx = |j: usize, i: usize| j * n + i;
+        let infeasible = || MiError::Infeasible { installments: x };
+        let s_over_b = Wide::new(s, 0).div(Wide::new(b, 0));
 
-        let mut a = Matrix::zeros(dim, dim);
-        let mut rhs = vec![0.0; dim];
-        let mut row = 0;
-
-        // No-idle conditions for installments 0..x-1.
-        for j in 0..x.saturating_sub(1) {
-            for i in 0..n {
-                a[(row, idx(j, i))] += 1.0 / s;
-                for k in (i + 1)..n {
-                    a[(row, idx(j, k))] -= 1.0 / b;
-                }
-                for k in 0..=i {
-                    a[(row, idx(j + 1, k))] -= 1.0 / b;
-                }
-                row += 1;
-            }
-        }
-        // Equal finish in the last installment.
-        for i in 0..n.saturating_sub(1) {
-            a[(row, idx(x - 1, i))] += 1.0 / s;
-            a[(row, idx(x - 1, i + 1))] -= 1.0 / b + 1.0 / s;
-            row += 1;
-        }
-        // Total workload.
-        for u in 0..dim {
-            a[(row, u)] = 1.0;
-        }
-        rhs[row] = w_total;
-        row += 1;
-        debug_assert_eq!(row, dim);
-
-        let solution = a
-            .solve(&rhs)
-            .map_err(|_| MiError::Infeasible { installments: x })?;
-        if solution.iter().any(|&c| !c.is_finite() || c <= 0.0) {
-            return Err(MiError::Infeasible { installments: x });
-        }
-        debug_assert!(
-            a.residual_inf(&solution, &rhs).unwrap_or(f64::INFINITY) < 1e-6 * w_total.max(1.0),
-            "MI linear system residual too large"
-        );
-
-        let chunks: Vec<Vec<f64>> = (0..x)
-            .map(|j| (0..n).map(|i| solution[idx(j, i)]).collect())
-            .collect();
+        // The first walk finds the scale; the second writes the chunks and
+        // stops at the first one outside f64's normal range.
+        let total = walk(n, x, s_over_b, |_, _| Some(())).ok_or_else(infeasible)?;
+        let scale = Wide::new(w_total, 0).div(total);
+        let mut chunks = vec![Vec::new(); x];
+        walk(n, x, s_over_b, |j, installment| {
+            chunks[j] = installment
+                .iter()
+                .map(|c| c.mul(scale).normal())
+                .collect::<Option<_>>()?;
+            Some(())
+        })
+        .ok_or_else(infeasible)?;
 
         // Under the latency-free model worker 0 receives its first chunk at
         // c(0,0)/B and computes continuously; all workers finish together.
@@ -167,28 +246,7 @@ impl MiSchedule {
         })
     }
 
-    /// Plan MI-`x`, decrementing `x` until a feasible installment count is
-    /// found (MI-1 always is). Returns the schedule actually used.
-    pub fn solve_with_fallback(
-        platform: &Platform,
-        w_total: f64,
-        installments: usize,
-    ) -> Result<Self, MiError> {
-        if installments == 0 {
-            return Err(MiError::ZeroInstallments);
-        }
-        let mut last_err = MiError::ZeroInstallments;
-        for x in (1..=installments).rev() {
-            match Self::solve(platform, w_total, x) {
-                Ok(s) => return Ok(s),
-                Err(e @ MiError::Infeasible { .. }) => last_err = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Number of installments actually planned.
+    /// Number of installments planned.
     pub fn installments(&self) -> usize {
         self.installments
     }
@@ -223,9 +281,9 @@ pub struct MultiInstallment {
 }
 
 impl MultiInstallment {
-    /// Plan and wrap MI-`installments` (with feasibility fallback).
+    /// Plan and wrap MI-`installments`.
     pub fn new(platform: &Platform, w_total: f64, installments: usize) -> Result<Self, MiError> {
-        let schedule = MiSchedule::solve_with_fallback(platform, w_total, installments)?;
+        let schedule = MiSchedule::solve(platform, w_total, installments)?;
         Ok(MultiInstallment {
             replayer: PlanReplayer::new(schedule.plan()),
             schedule,
@@ -373,11 +431,68 @@ mod tests {
     }
 
     #[test]
-    fn fallback_reaches_mi1() {
-        let p = latency_free(4, 1.0, 4.0);
-        // Even if higher x were infeasible, fallback must return something.
-        let s = MiSchedule::solve_with_fallback(&p, 100.0, 4).unwrap();
-        assert!(s.installments() >= 1 && s.installments() <= 4);
+    fn wide_rounds_as_f64_in_range() {
+        let values = [1.0, 3.0, 0.1, 7.5e-3, 1e-300, 2.5e300, 123.456, 1.0 / 3.0];
+        for &a in &values {
+            for &b in &values {
+                let (wa, wb) = (Wide::new(a, 0), Wide::new(b, 0));
+                for (wide, exact) in [
+                    (wa.add(wb), a + b),
+                    (wa.mul(wb), a * b),
+                    (wa.div(wb), a / b),
+                ] {
+                    if exact.is_normal() {
+                        assert_eq!(wide.normal(), Some(exact), "{a} {b}");
+                    } else {
+                        assert_eq!(wide.normal(), None, "{a} {b}");
+                    }
+                }
+            }
+        }
+        // A subnormal input keeps its value.
+        let tiny = Wide::new(5e-324, 0).mul(Wide::new(1e300, 0));
+        assert_eq!(tiny.normal(), Some(5e-324 * 1e300));
+    }
+
+    #[test]
+    fn chunks_spanning_more_than_f64_before_scaling_still_solve() {
+        // One installment on 300 workers at S/B = 10: chunks fall by 11×
+        // per worker, a span of 1e311, so an f64 walk from c = 1 overflows
+        // though every scaled chunk (down to ~4e-303) is a normal number.
+        let p = latency_free(300, 10.0, 1.0);
+        let s = MiSchedule::solve(&p, 1e9, 1).unwrap();
+        let c = &s.chunks()[0];
+        for i in 0..299 {
+            assert!(c[i + 1].is_normal());
+            assert!((c[i] / c[i + 1] - 11.0).abs() < 1e-12, "worker {i}");
+        }
+        let total: f64 = c.iter().sum();
+        assert!((total - 1e9).abs() < 1e-12 * 1e9);
+    }
+
+    #[test]
+    fn mi_x_means_x_installments_or_a_refusal() {
+        // A dense LU called this system infeasible and MI fell back to
+        // MI-4; back-substitution solves it.
+        let p = latency_free(10, 1.0, 1e4);
+        assert_eq!(MiSchedule::solve(&p, 1000.0, 5).unwrap().installments(), 5);
+        // The exact chunks here are subnormal (the LU returned 3.8e-309).
+        let fast_compute = latency_free(50, 10.0, 1.0);
+        assert_eq!(
+            MiSchedule::solve(&fast_compute, 1000.0, 6),
+            Err(MiError::Infeasible { installments: 6 })
+        );
+        // The installments shrink geometrically going back, so the walk
+        // stops once its chunks span more than f64's range.
+        let table1 = HomogeneousParams::table1(50, 1.5, 0.0, 0.0)
+            .build()
+            .unwrap();
+        assert_eq!(
+            MultiInstallment::new(&table1, 1000.0, 100_000).err(),
+            Some(MiError::Infeasible {
+                installments: 100_000
+            })
+        );
     }
 
     #[test]

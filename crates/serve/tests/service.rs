@@ -413,6 +413,48 @@ fn simulate_bodies_breaking_engine_rules_get_400_and_the_engine_keeps_serving() 
 }
 
 #[test]
+fn mi_with_100000_installments_gets_400_and_the_engine_keeps_serving() {
+    // As a dense (x·N)² system this plan needed 200 TB and aborted the
+    // process. Its exact chunks fall below f64's range, and the walk that
+    // finds this is O(x·N), so both answers are quick refusals.
+    let server = start(ServerConfig {
+        shards: 1,
+        ..quiet_config()
+    });
+    let platform = r#"{"homogeneous": {"n": 50, "ratio": 1.5,
+        "comp_latency": 0.2, "net_latency": 0.1}}"#;
+    let mi = r#"{"kind": "mi", "installments": 100000}"#;
+    let rows = [
+        (
+            "/v1/plan",
+            format!(r#"{{"platform": {platform}, "scheduler": {mi}, "w_total": 1000}}"#),
+        ),
+        (
+            "/v1/simulate",
+            format!(
+                r#"{{"platform": {platform}, "w_total": 1000,
+                "error_model": {{"kind": "normal", "error": 0.3}},
+                "run": {{"scheduler": {mi}, "seed": 7, "reps": 2}}}}"#
+            ),
+        ),
+    ];
+    for (seed, (path, body)) in rows.into_iter().enumerate() {
+        let started = std::time::Instant::now();
+        let answer = request_within(server.addr, "POST", path, &body, Duration::from_secs(2));
+        let (status, _, response) =
+            answer.unwrap_or_else(|| panic!("{path}: no answer within 2 s"));
+        assert!(started.elapsed() < Duration::from_secs(2), "{path}");
+        assert_eq!(status, 400, "{path}: {response}");
+        assert!(
+            response.contains(r#""error":"planner: MI planner: MI-100000 is infeasible"#),
+            "{path}: {response}"
+        );
+        assert_engine_answers(server.addr, seed, path);
+    }
+    server.shutdown();
+}
+
+#[test]
 fn jobs_bodies_breaking_engine_rules_get_400_and_jobs_keep_running() {
     // `/jobs` already refuses every send-slot count but 1, so its uplink
     // row keeps the default count. Recovery policies go on a job.

@@ -9,8 +9,8 @@
 //! * [`dls_sim`] — the discrete-event master–worker simulator.
 //! * [`dls_sched`] — all scheduling algorithms (UMR, RUMR, MI-x, Factoring,
 //!   FSC, static baselines).
-//! * [`dls_numerics`] — numerical substrate (root finding, dense LU,
-//!   distributions, statistics).
+//! * [`dls_numerics`] — numerical substrate (root finding, distributions,
+//!   statistics).
 //! * [`dls_workloads`] — synthetic application workload generators.
 //! * [`dls_experiments`] — the paper-reproduction sweep harness.
 

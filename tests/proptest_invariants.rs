@@ -38,6 +38,48 @@ fn kinds(error: f64) -> Vec<SchedulerKind> {
     ]
 }
 
+/// MI's conditions (`crates/sched/src/mi.rs`), each within 1e-12 of its
+/// own terms: no worker idles between installments, all finish the last
+/// one together, and the chunks, each a positive normal f64, sum to `w`.
+fn mi_conditions_hold(
+    s: &rumr::sched::MiSchedule,
+    speed: f64,
+    bandwidth: f64,
+    w: f64,
+) -> Result<(), TestCaseError> {
+    let c = s.chunks();
+    let x = c.len();
+    let n = c[0].len();
+    let holds = |lhs: f64, rhs: f64| (lhs - rhs).abs() <= 1e-12 * (lhs + rhs);
+    for j in 0..x {
+        for i in 0..n {
+            if j + 1 < x {
+                let sent: f64 = c[j][i + 1..].iter().chain(&c[j + 1][..=i]).sum();
+                prop_assert!(
+                    holds(c[j][i] / speed, sent / bandwidth),
+                    "no-idle ({j},{i}): {} vs {}",
+                    c[j][i] / speed,
+                    sent / bandwidth
+                );
+            } else if i + 1 < n {
+                let next = c[j][i + 1];
+                prop_assert!(
+                    holds(c[j][i] / speed, next / bandwidth + next / speed),
+                    "equal finish ({j},{i}): {} vs {}",
+                    c[j][i] / speed,
+                    next / bandwidth + next / speed
+                );
+            }
+        }
+    }
+    for &chunk in c.iter().flatten() {
+        prop_assert!(chunk.is_normal() && chunk > 0.0, "chunk {chunk}");
+    }
+    let total: f64 = c.iter().flatten().sum();
+    prop_assert!((total - w).abs() <= 1e-12 * w, "sum {total} vs {w}");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -258,32 +300,6 @@ proptest! {
         }
     }
 
-    /// The MI linear system solves with a tiny residual and positive chunks
-    /// on feasible configurations, and its plan conserves the workload.
-    #[test]
-    fn mi_schedule_structure(
-        n in 2usize..=16,
-        ratio in 1.1f64..=3.0,
-        x in 1usize..=4,
-        w in 10.0f64..=5000.0,
-    ) {
-        use rumr::sched::MiSchedule;
-        let platform = rumr::HomogeneousParams::table1(n, ratio, 0.0, 0.0).build().unwrap();
-        match MiSchedule::solve(&platform, w, x) {
-            Ok(s) => {
-                let total: f64 = s.chunks().iter().flatten().sum();
-                prop_assert!((total - w).abs() < 1e-6 * w);
-                for &c in s.chunks().iter().flatten() {
-                    prop_assert!(c > 0.0);
-                }
-            }
-            // Infeasible installment counts are allowed; the scheduler
-            // falls back to fewer installments in that case.
-            Err(rumr::sched::MiError::Infeasible { .. }) => {}
-            Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
-        }
-    }
-
     /// Pinned regression (from the checked-in proptest seed file): this
     /// parameter combination once produced an increasing chunk pair in the
     /// factoring tail. Kept as an explicit test so the case survives even
@@ -332,6 +348,59 @@ proptest! {
         // empty-chunk overhead per worker.
         if error > 0.0 && error < 1.0 && split.w2 > 0.0 {
             prop_assert!(split.w2 / n as f64 >= clat + nlat * n as f64 - 1e-9);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every Table 1 platform gets the MI-x it asks for, at any workload,
+    /// and the plan holds MI's conditions.
+    #[test]
+    fn mi_solves_every_table1_input(
+        n in 1usize..=200,
+        ratio in 1.0f64..=2.0,
+        x in 1usize..=8,
+        log_w in -3.0f64..=9.0,
+    ) {
+        let platform = rumr::HomogeneousParams::table1(n, ratio, 0.0, 0.0).build().unwrap();
+        let w = 10f64.powf(log_w);
+        match rumr::sched::MiSchedule::solve(&platform, w, x) {
+            Ok(s) => mi_conditions_hold(&s, 1.0, ratio * n as f64, w)?,
+            Err(e) => {
+                let inputs = format!("n={n} ratio={ratio} x={x} w={w}");
+                return Err(TestCaseError::fail(format!("{inputs}: {e}")));
+            }
+        }
+    }
+
+    /// On homogeneous platforms with S/B over seven decades, every plan MI
+    /// returns satisfies each no-idle and equal-finish equation and the
+    /// workload; a refusal is only ever `Infeasible`.
+    #[test]
+    fn mi_schedule_structure(
+        n in 1usize..=200,
+        log_s_over_b in -6.0f64..=1.0,
+        log_speed in -1.0f64..=1.0,
+        x in 1usize..=8,
+        log_w in -3.0f64..=9.0,
+    ) {
+        let speed = 10f64.powf(log_speed);
+        let bandwidth = speed / 10f64.powf(log_s_over_b);
+        let spec = rumr::WorkerSpec {
+            speed,
+            bandwidth,
+            comp_latency: 0.0,
+            net_latency: 0.0,
+            transfer_latency: 0.0,
+        };
+        let platform = rumr::Platform::homogeneous(n, spec).unwrap();
+        let w = 10f64.powf(log_w);
+        match rumr::sched::MiSchedule::solve(&platform, w, x) {
+            Ok(s) => mi_conditions_hold(&s, speed, bandwidth, w)?,
+            Err(rumr::sched::MiError::Infeasible { .. }) => {}
+            Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
         }
     }
 }
