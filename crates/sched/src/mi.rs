@@ -472,11 +472,11 @@ mod tests {
 
     #[test]
     fn mi_x_means_x_installments_or_a_refusal() {
-        // A dense LU called this system infeasible and MI fell back to
-        // MI-4; back-substitution solves it.
+        // Tiny S/B: MI-5's smallest chunks are ~1e-14 units (W = 1000),
+        // small but normal.
         let p = latency_free(10, 1.0, 1e4);
         assert_eq!(MiSchedule::solve(&p, 1000.0, 5).unwrap().installments(), 5);
-        // The exact chunks here are subnormal (the LU returned 3.8e-309).
+        // S/B = 10 on 50 workers: MI-6's smallest exact chunk is subnormal.
         let fast_compute = latency_free(50, 10.0, 1.0);
         assert_eq!(
             MiSchedule::solve(&fast_compute, 1000.0, 6),

@@ -414,9 +414,9 @@ fn simulate_bodies_breaking_engine_rules_get_400_and_the_engine_keeps_serving() 
 
 #[test]
 fn mi_with_100000_installments_gets_400_and_the_engine_keeps_serving() {
-    // As a dense (x·N)² system this plan needed 200 TB and aborted the
-    // process. Its exact chunks fall below f64's range, and the walk that
-    // finds this is O(x·N), so both answers are quick refusals.
+    // MI-100000 at n = 50: its exact chunks fall below f64's range, and
+    // the planner's O(x·N) walk finds that within a few thousand
+    // installments, so both endpoints refuse it quickly.
     let server = start(ServerConfig {
         shards: 1,
         ..quiet_config()
